@@ -402,6 +402,32 @@ def _setup_fluid_fastforward():
     return op, _pre_records(op), run_len
 
 
+#: Simulated time one benched connection gets: an unloaded offloaded
+#: SYN→FIN exchange (~18 ms, mostly VM kernel time) completes inside it.
+CRR_CONNECTION_SLICE = 0.025
+
+
+def _setup_crr_connection():
+    from repro.experiments.testbed import SERVER_IP, build_testbed
+    testbed = build_testbed(n_clients=1, n_idle=1, seed=0)
+    handle = testbed.orchestrator.offload(testbed.server_vnic,
+                                          testbed.idle_vswitches)
+    testbed.run(1.0)
+    assert handle.completed_at is not None
+    engine = testbed.engine
+    app = testbed.client_apps[0]
+
+    def op() -> object:
+        # One CRR transaction against the offloaded server vNIC: every
+        # segment crosses the BE↔FE hop (client → FE → BE → VM and back).
+        conn = app.open(SERVER_IP, 80)
+        engine.run(until=engine.now + CRR_CONNECTION_SLICE)
+        assert conn.completed_at is not None
+        return conn
+
+    return op, None, 1
+
+
 def _legacy_percentile_summary(data) -> Dict[str, float]:
     """The pre-overhaul implementation: one full sort per label."""
     summary = {}
@@ -463,6 +489,10 @@ BENCHES: Tuple[MicroBench, ...] = (
                "32-packet fluid run (one descriptor end-to-end) vs "
                "materialized burst replay",
                _setup_fluid_fastforward),
+    MicroBench("crr_connection",
+               "one offloaded TCP CRR connection, SYN to FIN, through "
+               "BE->FE->BE",
+               _setup_crr_connection),
 )
 
 

@@ -31,7 +31,7 @@ from repro.vswitch.state import SessionState
 from repro.vswitch.tcp_fsm import tcp_transition
 from repro.vswitch.vnic import Vnic
 from repro.vswitch.vswitch import Datapath, VSwitch
-from repro.core.header import NezhaMeta, KIND_TX, build_nezha_hop
+from repro.core.header import HopEncap, NezhaMeta, KIND_TX
 from repro.core.load_balancer import FeSelector
 
 
@@ -67,6 +67,7 @@ class BackendInstance(Datapath):
         # flag exists to quantify why.
         self.packet_level_lb = packet_level_lb
         self._pkt_counter = 0
+        self.hops = HopEncap(vswitch.server.underlay_ip, vswitch.server.mac)
 
     # -- shared state handling ---------------------------------------------------
 
@@ -133,9 +134,7 @@ class BackendInstance(Datapath):
                 _spans.hop(packet, "be_tx", vs.engine.now)
             meta = NezhaMeta(kind=KIND_TX, vnic_id=self.vnic.vnic_id,
                              state=state)
-            hop = build_nezha_hop(vs.server.underlay_ip, vs.server.mac,
-                                  fe, meta, inner=packet,
-                                  entropy=ft.hash())
+            hop = self.hops.wrap(fe, meta, inner=packet, entropy=ft.hash())
             self.stats.tx_relayed += 1
             vs.server.send_to_fabric(hop)
 

@@ -33,8 +33,7 @@ from repro.vswitch.session_table import EntryMode
 from repro.vswitch.slow_path import SlowPath
 from repro.vswitch.vnic import Vnic
 from repro.vswitch.vswitch import VSwitch
-from repro.core.header import (KIND_NOTIFY, KIND_RX, NezhaMeta,
-                               build_nezha_hop)
+from repro.core.header import KIND_NOTIFY, KIND_RX, HopEncap, NezhaMeta
 
 
 @dataclass
@@ -69,6 +68,7 @@ class FrontendInstance:
         self.retiring = False
         # Charge the remote copy of the rule tables to this SmartNIC.
         self.mem_tag = f"fe_rules:{vnic.vnic_id}"
+        self.hops = HopEncap(vswitch.server.underlay_ip, vswitch.server.mac)
         vswitch.mem.alloc(self.mem_tag, vnic.table_memory_bytes())
 
     def location(self) -> Location:
@@ -175,8 +175,7 @@ class FrontendInstance:
         meta = NezhaMeta(kind=KIND_NOTIFY, vnic_id=self.vnic.vnic_id,
                          notify_five_tuple=packet.five_tuple(),
                          notify_policy=policy)
-        hop = build_nezha_hop(vs.server.underlay_ip, vs.server.mac,
-                              self.be_location, meta)
+        hop = self.hops.wrap(self.be_location, meta)
         vs.charge(vs.cost_model.notify_cycles,
                   lambda: vs.server.send_to_fabric(hop))
 
@@ -219,9 +218,8 @@ class FrontendInstance:
                              pre_actions=pre_actions)
             if self.vnic.stateful_decap and overlay_src is not None:
                 meta.overlay_src = IPv4Address(overlay_src)
-            hop = build_nezha_hop(vs.server.underlay_ip, vs.server.mac,
-                                  self.be_location, meta, inner=packet,
-                                  entropy=packet.five_tuple().hash())
+            hop = self.hops.wrap(self.be_location, meta, inner=packet,
+                                 entropy=packet.five_tuple().hash())
             vs.server.send_to_fabric(hop)
 
         vs.charge(cycles + cm.state_encode_cycles + cm.encap_cycles, complete)

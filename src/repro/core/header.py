@@ -8,25 +8,25 @@ Three packet kinds cross the BE↔FE hop, distinguished by the DIRECTION TLV:
 * ``N`` — a designated notify packet, FE→BE, updating rule-table-involved
   state (§3.2.2).
 
-:func:`build_nezha_hop` wraps an inner tenant packet in
-``Eth / IPv4 / UDP(4790) / NSH(meta)`` addressed to the peer's underlay.
+:func:`build_nezha_hop` (or a sender's reusable :class:`HopEncap`) wraps
+an inner tenant packet in ``Eth / IPv4 / UDP(4790) / NSH(meta)``
+addressed to the peer's underlay.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import DecodeError
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.ethernet import EthernetHeader
-from repro.net.five_tuple import FiveTuple
+from repro.net.five_tuple import PROTO_UDP, FiveTuple
 from repro.net.ipv4 import IPv4Header
 from repro.net.nsh import NshContext, NshHeader
 from repro.net.packet import NSH_PORT, Packet
 from repro.net.udp import UdpHeader
-from repro.net.five_tuple import PROTO_UDP
 from repro.vswitch.actions import PreAction, PreActions, Verdict
 from repro.vswitch.rule_tables import Location
 from repro.vswitch.state import SessionState, StatsPolicy
@@ -49,13 +49,12 @@ def encode_pre_actions(pre: PreActions) -> bytes:
 def decode_pre_actions(data: bytes) -> PreActions:
     if len(data) < 8:
         raise DecodeError(f"pre-actions blob needs 8B, got {len(data)}")
+    policy = StatsPolicy.from_wire(data[4:5])
     tx = PreAction(verdict=Verdict.from_wire(data[0:1]),
-                   stateful_acl=bool(data[2]))
+                   stateful_acl=bool(data[2]), stats_policy=policy)
     rx = PreAction(verdict=Verdict.from_wire(data[1:2]),
-                   stateful_acl=bool(data[3]),
-                   stats_policy=StatsPolicy.from_wire(data[4:5]),
+                   stateful_acl=bool(data[3]), stats_policy=policy,
                    qos_class=data[5])
-    tx.stats_policy = rx.stats_policy
     return PreActions(tx, rx)
 
 
@@ -87,39 +86,94 @@ class NezhaMeta:
     notify_policy: Optional[StatsPolicy] = None
 
     def to_context(self) -> NshContext:
-        ctx = NshContext()
-        ctx.put(NshContext.DIRECTION, self.kind)
-        ctx.put(NshContext.VNIC, struct.pack("!I", self.vnic_id))
+        # Every Nezha TLV has a fixed size far inside the TLV and header
+        # limits, so the context adopts them without per-TLV checks.
+        entries = {NshContext.DIRECTION: self.kind,
+                   NshContext.VNIC: struct.pack("!I", self.vnic_id)}
         if self.state is not None:
-            ctx.put(NshContext.STATE, self.state.to_wire())
+            entries[NshContext.STATE] = self.state.to_wire()
         if self.pre_actions is not None:
-            ctx.put(NshContext.PRE_ACTIONS, encode_pre_actions(self.pre_actions))
+            entries[NshContext.PRE_ACTIONS] = encode_pre_actions(
+                self.pre_actions)
         if self.overlay_src is not None:
-            ctx.put(NshContext.STATE_INIT, self.overlay_src.to_bytes())
+            entries[NshContext.STATE_INIT] = self.overlay_src.to_bytes()
         if self.notify_five_tuple is not None:
-            payload = encode_five_tuple(self.notify_five_tuple)
-            payload += (self.notify_policy or StatsPolicy.NONE).to_wire()
-            ctx.put(NshContext.NOTIFY, payload)
-        return ctx
+            entries[NshContext.NOTIFY] = (
+                encode_five_tuple(self.notify_five_tuple)
+                + (self.notify_policy or StatsPolicy.NONE).to_wire())
+        return NshContext.prevalidated(entries)
 
     @classmethod
     def from_context(cls, ctx: NshContext) -> "NezhaMeta":
-        kind = ctx.get(NshContext.DIRECTION)
-        (vnic_id,) = struct.unpack("!I", ctx.get(NshContext.VNIC))
-        meta = cls(kind=kind, vnic_id=vnic_id)
-        if NshContext.STATE in ctx:
-            meta.state = SessionState.from_wire(ctx.get(NshContext.STATE))
-        if NshContext.PRE_ACTIONS in ctx:
-            meta.pre_actions = decode_pre_actions(
-                ctx.get(NshContext.PRE_ACTIONS))
-        if NshContext.STATE_INIT in ctx:
-            meta.overlay_src = IPv4Address.from_bytes(
-                ctx.get(NshContext.STATE_INIT))
-        if NshContext.NOTIFY in ctx:
-            blob = ctx.get(NshContext.NOTIFY)
+        """Decode a context. Every object it returns is freshly built, so
+        the receiver never aliases the sender's state or pre-actions."""
+        entries = ctx.entries
+        try:
+            (vnic_id,) = struct.unpack("!I", entries[NshContext.VNIC])
+            meta = cls(kind=entries[NshContext.DIRECTION], vnic_id=vnic_id)
+        except KeyError as missing:
+            raise DecodeError(f"TLV {missing.args[0]:#x} absent") from None
+        blob = entries.get(NshContext.STATE)
+        if blob is not None:
+            meta.state = SessionState.from_wire(blob)
+        blob = entries.get(NshContext.PRE_ACTIONS)
+        if blob is not None:
+            meta.pre_actions = decode_pre_actions(blob)
+        blob = entries.get(NshContext.STATE_INIT)
+        if blob is not None:
+            meta.overlay_src = IPv4Address.from_bytes(blob)
+        blob = entries.get(NshContext.NOTIFY)
+        if blob is not None:
             meta.notify_five_tuple = decode_five_tuple(blob[:13])
             meta.notify_policy = StatsPolicy.from_wire(blob[13:14])
         return meta
+
+
+class HopEncap:
+    """One sender's BE↔FE hop encapsulation.
+
+    The outer Ethernet header depends only on the peer, so it is built
+    once per peer and shared by every hop to it — nothing in flight
+    mutates it (the underlay only decrements the outer IPv4 TTL). The
+    outer IPv4 and UDP headers carry per-packet lengths, ports and TTL,
+    and the NSH header per-packet metadata, so those are built per hop.
+    """
+
+    __slots__ = ("src_ip", "src_mac", "_peers")
+
+    def __init__(self, src_ip: IPv4Address, src_mac: MacAddress) -> None:
+        self.src_ip = src_ip
+        self.src_mac = src_mac
+        # peer underlay IP value -> (peer Location, outer Ethernet header)
+        self._peers: Dict[int, Tuple[Location, EthernetHeader]] = {}
+
+    def _eth_to(self, dst: Location) -> EthernetHeader:
+        key = dst.underlay_ip.value
+        cached = self._peers.get(key)
+        if cached is None or cached[0] is not dst:
+            cached = self._peers[key] = (
+                dst, EthernetHeader(dst.underlay_mac, self.src_mac))
+        return cached[1]
+
+    def wrap(self, dst: Location, meta: NezhaMeta,
+             inner: Optional[Packet] = None, entropy: int = 0) -> Packet:
+        """Wrap ``inner`` (or nothing, for a notify) for the hop to
+        ``dst``: ``Eth / IPv4 / UDP(4790) / NSH(meta)``."""
+        nsh = NshHeader(spi=meta.vnic_id & 0xFFFFFF, si=255,
+                        context=meta.to_context())
+        inner_len = inner.wire_length if inner is not None else 0
+        udp_len = UdpHeader.wire_length + nsh.wire_length + inner_len
+        total = IPv4Header.wire_length + udp_len
+        outer = [
+            self._eth_to(dst),
+            IPv4Header(self.src_ip, dst.underlay_ip, PROTO_UDP,
+                       total_length=total),
+            UdpHeader(49152 + (entropy & 0x3FFF), NSH_PORT, udp_len),
+            nsh,
+        ]
+        if inner is None:
+            return Packet(outer)
+        return Packet.wrap(outer, inner, EthernetHeader.wire_length + total)
 
 
 def build_nezha_hop(src_ip: IPv4Address, src_mac: MacAddress,
@@ -127,39 +181,27 @@ def build_nezha_hop(src_ip: IPv4Address, src_mac: MacAddress,
                     inner: Optional[Packet] = None,
                     entropy: int = 0) -> Packet:
     """Wrap ``inner`` (or nothing, for a notify) for the BE↔FE hop."""
-    nsh = NshHeader(spi=meta.vnic_id & 0xFFFFFF, si=255,
-                    context=meta.to_context())
-    inner_layers = list(inner.layers) if inner is not None else []
-    inner_payload = inner.payload if inner is not None else b""
-    inner_len = inner.wire_length if inner is not None else 0
-    udp_len = UdpHeader.wire_length + nsh.wire_length + inner_len
-    total = IPv4Header.wire_length + udp_len
-    src_port = 49152 + (entropy & 0x3FFF)
-    layers = [
-        EthernetHeader(dst.underlay_mac, src_mac),
-        IPv4Header(src_ip, dst.underlay_ip, PROTO_UDP, total_length=total),
-        UdpHeader(src_port, NSH_PORT, udp_len),
-        nsh,
-    ] + inner_layers
-    meta_dict = dict(inner.meta) if inner is not None else {}
-    return Packet(layers, inner_payload, meta_dict)
+    return HopEncap(src_ip, src_mac).wrap(dst, meta, inner, entropy)
 
 
 def unwrap_nezha_hop(packet: Packet) -> NezhaMeta:
     """Strip the hop encapsulation in place; returns the decoded metadata.
 
-    After this call the packet holds only the inner tenant layers (for a
-    notify, a placeholder NSH layer remains — notify packets carry no
-    tenant payload and are consumed by the BE).
+    After this call the packet holds only the inner tenant layers, and
+    keeps its memoized flow key (for a notify, a placeholder NSH layer
+    remains — notify packets carry no tenant payload and are consumed by
+    the BE).
     """
-    nsh = packet.find(NshHeader)
-    if nsh is None:
+    layers = packet.layers
+    for index, nsh in enumerate(layers):
+        if isinstance(nsh, NshHeader):
+            break
+    else:
         raise DecodeError("not a Nezha hop packet (no NSH layer)")
     meta = NezhaMeta.from_context(nsh.context)
-    index = packet.layers.index(nsh)
-    if index + 1 < len(packet.layers):
-        packet.layers[:index + 1] = []
+    if index + 1 < len(layers):
+        packet.strip_tunnel(index + 1)
     else:
-        packet.layers[:index] = []  # keep the NSH layer as placeholder
-    packet.invalidate_flow_cache()  # layer surgery bypassed Packet.decap
+        del layers[:index]  # keep the NSH layer as placeholder
+        packet.invalidate_flow_cache()  # the 5-tuple was the outer one
     return meta

@@ -77,25 +77,27 @@ class GuestTcp:
         tcp = packet.find(TcpHeader)
         if tcp is None:
             return
-        ip = packet.inner_ipv4()
         if tcp.flags.syn and not tcp.flags.ack:
             self.server_accepts += 1
-            self._reply(ip.src, tcp.src_port, tcp.dst_port,
-                        TcpFlags.of("syn", "ack"), new_connection=True)
+            self._reply(packet, TcpFlags.of("syn", "ack"),
+                        new_connection=True)
         elif tcp.flags.psh:
-            self._reply(ip.src, tcp.src_port, tcp.dst_port,
-                        TcpFlags.of("psh", "ack"),
+            self._reply(packet, TcpFlags.of("psh", "ack"),
                         payload=b"r" * self.response_bytes)
         elif tcp.flags.fin:
-            self._reply(ip.src, tcp.src_port, tcp.dst_port,
-                        TcpFlags.of("fin", "ack"))
+            self._reply(packet, TcpFlags.of("fin", "ack"))
 
-    def _reply(self, dst_ip: IPv4Address, dst_port: int, src_port: int,
-               flags: TcpFlags, payload: bytes = b"",
+    def _reply(self, request: Packet, flags: TcpFlags, payload: bytes = b"",
                new_connection: bool = False) -> None:
-        pkt = Packet.tcp(self.vnic.tenant_ip, dst_ip, src_port, dst_port,
-                         flags, payload)
-        self.vm.send(self.vnic, pkt, new_connection=new_connection)
+        """Answer ``request`` from this vNIC's address. The reply flow is
+        the request's reversed: every segment of a connection carries the
+        same request key, so all replies share one key object."""
+        flow = request.five_tuple().reversed()
+        if flow.src_ip != self.vnic.tenant_ip:
+            flow = FiveTuple(self.vnic.tenant_ip, flow.dst_ip, flow.proto,
+                             flow.src_port, flow.dst_port)
+        self.vm.send(self.vnic, Packet.tcp_for(flow, flags, payload),
+                     new_connection=new_connection)
 
     # -- client side ----------------------------------------------------------------
 
@@ -112,8 +114,7 @@ class GuestTcp:
         self._conns[ft] = conn
         self.vm.listen(self.vnic, src_port,
                        lambda pkt, c=conn: self._client_rx(c, pkt))
-        syn = Packet.tcp(ft.src_ip, ft.dst_ip, ft.src_port, ft.dst_port,
-                         TcpFlags.of("syn"))
+        syn = Packet.tcp_for(ft, TcpFlags.of("syn"))
         self.vm.send(self.vnic, syn, new_connection=True)
         self.engine.call_after(self.timeout, self._check_timeout, conn)
         return conn
@@ -131,14 +132,12 @@ class GuestTcp:
             return
         ft = conn.five_tuple
         if tcp.flags.syn and tcp.flags.ack and conn.state is ConnState.CONNECTING:
-            request = Packet.tcp(ft.src_ip, ft.dst_ip, ft.src_port,
-                                 ft.dst_port, TcpFlags.of("psh", "ack"),
-                                 b"q" * self.request_bytes)
+            request = Packet.tcp_for(ft, TcpFlags.of("psh", "ack"),
+                                     b"q" * self.request_bytes)
             conn.state = ConnState.REQUEST_SENT
             self.vm.send(self.vnic, request)
         elif tcp.flags.psh and conn.state is ConnState.REQUEST_SENT:
-            fin = Packet.tcp(ft.src_ip, ft.dst_ip, ft.src_port, ft.dst_port,
-                             TcpFlags.of("fin", "ack"))
+            fin = Packet.tcp_for(ft, TcpFlags.of("fin", "ack"))
             conn.state = ConnState.CLOSING
             self.vm.send(self.vnic, fin)
         elif tcp.flags.fin and conn.state is ConnState.CLOSING:

@@ -10,6 +10,7 @@ because the session table stores bidirectional flows in a single entry.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Tuple
 
 from repro.net.addr import IPv4Address
@@ -19,6 +20,7 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 _PROTO_NAMES = {PROTO_ICMP: "icmp", PROTO_TCP: "tcp", PROTO_UDP: "udp"}
+_HASH_BLOB = struct.Struct("!QIIBHH")
 
 
 class FiveTuple:
@@ -30,7 +32,7 @@ class FiveTuple:
     memoize_key: bool = True
 
     __slots__ = ("src_ip", "dst_ip", "proto", "src_port", "dst_port",
-                 "_hash", "_session_key", "_hash64")
+                 "_hash", "_session_key", "_hash64", "_reversed")
 
     def __init__(
         self,
@@ -40,8 +42,11 @@ class FiveTuple:
         src_port: int,
         dst_port: int,
     ) -> None:
-        self.src_ip = IPv4Address(src_ip)
-        self.dst_ip = IPv4Address(dst_ip)
+        # Addresses are immutable: share one instead of re-wrapping it.
+        self.src_ip = (src_ip if type(src_ip) is IPv4Address
+                       else IPv4Address(src_ip))
+        self.dst_ip = (dst_ip if type(dst_ip) is IPv4Address
+                       else IPv4Address(dst_ip))
         self.proto = int(proto)
         self.src_port = int(src_port)
         self.dst_port = int(dst_port)
@@ -51,11 +56,22 @@ class FiveTuple:
                            self.src_port, self.dst_port))
         self._session_key: Tuple = None
         self._hash64 = None
+        self._reversed: "FiveTuple" = None
 
     def reversed(self) -> "FiveTuple":
-        """The same session seen from the other direction."""
-        return FiveTuple(self.dst_ip, self.src_ip, self.proto,
-                         self.dst_port, self.src_port)
+        """The same session seen from the other direction.
+
+        Memoized (fields are immutable): a reply flow derived from a
+        request's key is then one object, with one memoized hash, for
+        every segment of the connection. The memo points one way only,
+        so the pair forms no reference cycle."""
+        rev = self._reversed
+        if rev is not None and FiveTuple.memoize_key:
+            return rev
+        rev = FiveTuple(self.dst_ip, self.src_ip, self.proto,
+                        self.dst_port, self.src_port)
+        self._reversed = rev
+        return rev
 
     def session_key(self) -> Tuple:
         """Direction-independent key: both directions map to one session.
@@ -91,14 +107,9 @@ class FiveTuple:
             cached = self._hash64
             if cached is not None and FiveTuple.memoize_key:
                 return cached
-        blob = (
-            seed.to_bytes(8, "big", signed=False)
-            + self.src_ip.to_bytes()
-            + self.dst_ip.to_bytes()
-            + bytes([self.proto])
-            + self.src_port.to_bytes(2, "big")
-            + self.dst_port.to_bytes(2, "big")
-        )
+        # seed (8 B) | src ip | dst ip | proto (1 B) | ports, big-endian.
+        blob = _HASH_BLOB.pack(seed, self.src_ip.value, self.dst_ip.value,
+                               self.proto, self.src_port, self.dst_port)
         value = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
         if seed == 0:
             self._hash64 = value

@@ -32,8 +32,9 @@ class IPv4Header:
         flags: int = 0,
         frag_offset: int = 0,
     ) -> None:
-        self.src = IPv4Address(src)
-        self.dst = IPv4Address(dst)
+        # Addresses are immutable: share one instead of re-wrapping it.
+        self.src = src if type(src) is IPv4Address else IPv4Address(src)
+        self.dst = dst if type(dst) is IPv4Address else IPv4Address(dst)
         if not 0 <= proto <= 255:
             raise DecodeError(f"bad protocol: {proto}")
         if not HEADER_LEN <= total_length <= 0xFFFF:

@@ -18,16 +18,23 @@ Wire format implemented here:
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import DecodeError
 
 BASE_LEN = 8
+MAX_WORDS = 0x3F  # the base header's 6-bit length field, in 4-byte words
 MD_TYPE_2 = 0x02
 TLV_CLASS_NEZHA = 0x0103  # experimental class for Nezha metadata
 
 NEXT_PROTO_IPV4 = 0x01
 NEXT_PROTO_ETHERNET = 0x03
+
+
+def _tlv_size(value: bytes) -> int:
+    """Encoded size of one context TLV: 4-byte header, value, padding."""
+    return 4 + len(value) + (-len(value)) % 4
 
 
 class NshContext:
@@ -36,6 +43,13 @@ class NshContext:
     A mapping from small integer TLV types to byte strings. Symbolic names
     for the types Nezha uses are provided as class attributes; the codec
     itself is type-agnostic.
+
+    The context tracks its encoded size as TLVs are added and memoizes
+    :meth:`encode`: the BE↔FE hop needs the length once per hop and the
+    bytes only when a packet is serialized. :meth:`put` is the only
+    mutator — :attr:`entries` is a read-only view — so it is the only
+    place the memo is dropped. A context never grows past what one NSH
+    header can carry (``MAX_LEN`` bytes).
     """
 
     # TLV types used by Nezha (see repro.core.header for the payloads).
@@ -46,49 +60,89 @@ class NshContext:
     VNIC = 0x05         # vNIC id the metadata belongs to
     DIRECTION = 0x06    # TX/RX marker
 
-    __slots__ = ("entries",)
+    #: Largest encoded context: the NSH length field counts 4-byte words
+    #: in 6 bits and includes the 8-byte base + service-path headers.
+    MAX_LEN = MAX_WORDS * 4 - BASE_LEN
+
+    __slots__ = ("_entries", "_nbytes", "_enc")
 
     def __init__(self, entries: Dict[int, bytes] = None) -> None:
-        self.entries = dict(entries or {})
-        for tlv_type, value in self.entries.items():
-            self._validate(tlv_type, value)
+        self._entries: Dict[int, bytes] = {}
+        self._nbytes = 0
+        self._enc: Optional[bytes] = None
+        for tlv_type, value in (entries or {}).items():
+            self.put(tlv_type, value)
 
-    @staticmethod
-    def _validate(tlv_type: int, value: bytes) -> None:
+    @classmethod
+    def prevalidated(cls, entries: Dict[int, bytes]) -> "NshContext":
+        """Adopt ``entries`` without per-TLV checks.
+
+        For producers of fixed-size TLVs (the Nezha hop metadata) whose
+        types are in range, values at most 255 bytes and total size
+        within ``MAX_LEN`` by construction. The dict is taken over, not
+        copied."""
+        ctx = cls.__new__(cls)
+        ctx._entries = entries
+        ctx._nbytes = sum(map(_tlv_size, entries.values()))
+        ctx._enc = None
+        return ctx
+
+    @property
+    def entries(self) -> Mapping[int, bytes]:
+        """Read-only view of the TLVs; mutate through :meth:`put`."""
+        return MappingProxyType(self._entries)
+
+    @property
+    def wire_length(self) -> int:
+        """Encoded size in bytes: ``Σ (4 + len + pad)``."""
+        return self._nbytes
+
+    def put(self, tlv_type: int, value: bytes) -> "NshContext":
         if not 0 <= tlv_type <= 0xFF:
             raise DecodeError(f"TLV type out of range: {tlv_type}")
         if len(value) > 0xFF:
             raise DecodeError(f"TLV value too long: {len(value)}B")
-
-    def put(self, tlv_type: int, value: bytes) -> "NshContext":
-        self._validate(tlv_type, value)
-        self.entries[tlv_type] = value
+        old = self._entries.get(tlv_type)
+        nbytes = self._nbytes + _tlv_size(value)
+        if old is not None:
+            nbytes -= _tlv_size(old)
+        if nbytes > self.MAX_LEN:
+            raise DecodeError(f"NSH context too long: {nbytes}B "
+                              f"> {self.MAX_LEN}B")
+        self._entries[tlv_type] = value
+        self._nbytes = nbytes
+        self._enc = None
         return self
 
     def get(self, tlv_type: int) -> bytes:
         try:
-            return self.entries[tlv_type]
+            return self._entries[tlv_type]
         except KeyError:
             raise DecodeError(f"TLV {tlv_type:#x} absent") from None
 
     def get_or(self, tlv_type: int, default: bytes = b"") -> bytes:
-        return self.entries.get(tlv_type, default)
+        return self._entries.get(tlv_type, default)
 
     def __contains__(self, tlv_type: int) -> bool:
-        return tlv_type in self.entries
+        return tlv_type in self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def encode(self) -> bytes:
+        enc = self._enc
+        if enc is not None:
+            return enc
         out = bytearray()
-        for tlv_type in sorted(self.entries):
-            value = self.entries[tlv_type]
+        entries = self._entries
+        for tlv_type in sorted(entries):
+            value = entries[tlv_type]
             out += struct.pack("!HBB", TLV_CLASS_NEZHA, tlv_type, len(value))
             out += value
             pad = (-len(value)) % 4
             out += b"\x00" * pad
-        return bytes(out)
+        enc = self._enc = bytes(out)
+        return enc
 
     @classmethod
     def decode(cls, data: bytes) -> "NshContext":
@@ -109,10 +163,12 @@ class NshContext:
         return cls(entries)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, NshContext) and self.entries == other.entries
+        return (isinstance(other, NshContext)
+                and self._entries == other._entries)
 
     def __repr__(self) -> str:
-        kinds = ", ".join(f"{t:#x}[{len(v)}B]" for t, v in sorted(self.entries.items()))
+        kinds = ", ".join(f"{t:#x}[{len(v)}B]"
+                          for t, v in sorted(self._entries.items()))
         return f"NshContext({kinds})"
 
 
@@ -131,17 +187,20 @@ class NshHeader:
         self.spi = spi
         self.si = si
         self.next_proto = next_proto
-        self.context = context if context is not None else NshContext()
+        if context is None:
+            context = NshContext()
+        elif context.wire_length > NshContext.MAX_LEN:
+            raise DecodeError(f"NSH context too long: {context.wire_length}B"
+                              f" > {NshContext.MAX_LEN}B")
+        self.context = context
 
     @property
     def wire_length(self) -> int:
-        return BASE_LEN + len(self.context.encode())
+        return BASE_LEN + self.context.wire_length
 
     def encode(self) -> bytes:
         ctx = self.context.encode()
         total_words = (BASE_LEN + len(ctx)) // 4
-        if total_words > 0x3F:
-            raise DecodeError(f"NSH too long: {total_words} words")
         # 16 bits: version(2)=0 | O(1)=0 | U(1)=0 | TTL(6)=63 | length(6),
         # then MD-type byte and next-protocol byte.
         hword = (63 << 6) | total_words

@@ -79,6 +79,21 @@ class Packet:
         return cls([ip, tcp], payload)
 
     @classmethod
+    def tcp_for(cls, flow: FiveTuple, flags: TcpFlags = None,
+                payload: bytes = b"") -> "Packet":
+        """A bare IPv4/TCP segment of ``flow``. Its header fields are
+        taken from ``flow``, so ``flow`` is its flow key by construction
+        and is memoized as such: every segment of a connection then
+        shares one key object and its memoized hashes."""
+        if flow.proto != PROTO_TCP:
+            raise PacketError(f"not a TCP flow: {flow!r}")
+        pkt = cls.tcp(flow.src_ip, flow.dst_ip, flow.src_port,
+                      flow.dst_port, flags, payload)
+        if cls.memoize:
+            pkt._ft = flow
+        return pkt
+
+    @classmethod
     def udp(cls, src_ip: IPv4Address, dst_ip: IPv4Address,
             src_port: int, dst_port: int, payload: bytes = b"") -> "Packet":
         total = IPv4Header.wire_length + UdpHeader.wire_length + len(payload)
@@ -195,6 +210,44 @@ class Packet:
             self._enc = None
         return removed
 
+    @classmethod
+    def wrap(cls, outer_layers: List[Header], inner: "Packet",
+             wire_length: int) -> "Packet":
+        """A new packet: ``outer_layers`` around ``inner``'s headers and
+        payload, with ``wire_length`` its closed-form total size.
+
+        Tunnel wraps add only outer headers, so the innermost 5-tuple is
+        ``inner``'s: the new packet inherits its memoized flow key (and
+        with it the memoized hashes) instead of rebuilding it. The header
+        objects of ``inner`` are shared, not copied."""
+        new = cls.__new__(cls)
+        new.layers = outer_layers + inner.layers
+        new.payload = inner.payload
+        new.meta = dict(inner.meta)
+        new._enc = None
+        if cls.memoize:
+            new._ft = inner._ft
+            new._wire = wire_length
+        else:
+            new._ft = None
+            new._wire = None
+        return new
+
+    def strip_tunnel(self, count: int) -> None:
+        """Pop the ``count`` outer headers of a tunnel around a whole inner
+        packet (the BE↔FE hop, the VXLAN transport).
+
+        Unlike :meth:`decap`, which may strip any layers and so drops
+        every memo, the flow key survives: the innermost 5-tuple is the
+        inner packet's before and after."""
+        if count >= len(self.layers):
+            raise PacketError("strip would remove every header")
+        del self.layers[:count]
+        self._wire = None
+        self._enc = None
+        if not self.memoize:
+            self._ft = None
+
     def copy(self) -> "Packet":
         """A shallow-header copy (headers re-decoded from bytes would be
         equal); meta is copied so per-hop annotations do not alias.
@@ -292,7 +345,9 @@ class Packet:
             elif expected == "nsh":
                 nsh, rest = NshHeader.decode(rest)
                 layers.append(nsh)
-                if nsh.next_proto == NEXT_PROTO_IPV4:
+                if not rest:
+                    expected = None  # a notify hop: metadata, no inner packet
+                elif nsh.next_proto == NEXT_PROTO_IPV4:
                     expected = "ipv4"
                 elif nsh.next_proto == NEXT_PROTO_ETHERNET:
                     expected = "ethernet"
@@ -324,44 +379,53 @@ def make_underlay_transport(
     inner: Packet, vni: int, src_port: int = 49152,
 ) -> Packet:
     """Wrap a tenant packet in the standard VXLAN overlay transport."""
-    inner_bytes_len = inner.wire_length
-    inner_eth = EthernetHeader(MacAddress(0x02_00_00_00_00_02),
-                               MacAddress(0x02_00_00_00_00_01))
-    udp_len = (UdpHeader.wire_length + VxlanHeader.wire_length
-               + EthernetHeader.wire_length + inner_bytes_len)
-    total = IPv4Header.wire_length + udp_len
-    outer = [
-        EthernetHeader(dst_mac, src_mac),
-        IPv4Header(src_ip, dst_ip, PROTO_UDP, total_length=total),
-        UdpHeader(src_port, VXLAN_PORT, udp_len),
-        VxlanHeader(vni),
-        inner_eth,
-    ]
-    wrapped = Packet(outer + inner.layers, inner.payload, dict(inner.meta))
-    return wrapped
+    return EncapTemplate(src_mac, dst_mac, src_ip, dst_ip,
+                         vni).wrap(inner, src_port)
+
+
+def strip_underlay_transport(packet: Packet) -> None:
+    """Undo the VXLAN overlay transport in place: pop every header down to
+    the tenant IPv4 header that follows the VXLAN header.
+
+    Only tunnel layers go, so the packet keeps its memoized flow key
+    (:meth:`Packet.strip_tunnel`) — the key the sender's wrap carried."""
+    layers = packet.layers
+    vxlan_seen = False
+    for index, layer in enumerate(layers):
+        if vxlan_seen and isinstance(layer, IPv4Header):
+            packet.strip_tunnel(index)
+            return
+        if isinstance(layer, VxlanHeader):
+            vxlan_seen = True
+    raise PacketError("no tenant IPv4 header under a VXLAN header")
+
+
+#: The synthetic inner Ethernet header of every VXLAN wrap. Like the
+#: other shared transport headers it is never mutated in flight.
+_INNER_ETH = EthernetHeader(MacAddress(0x02_00_00_00_00_02),
+                            MacAddress(0x02_00_00_00_00_01))
 
 
 class EncapTemplate:
-    """Per-(flow, overlay) cache of the constant VXLAN transport headers.
+    """The constant VXLAN transport headers of one overlay route.
 
-    :func:`make_underlay_transport` builds five header objects per
-    forwarded packet, but for a given session-and-route three of them —
-    the outer Ethernet, the VXLAN header, and the synthetic inner
-    Ethernet — are identical across every packet, and nothing downstream
-    mutates them in place (the underlay only decrements the outer IPv4
-    TTL, and :meth:`Packet.copy` shallow-copies layers before any NAT
-    surgery). Those three are built once here and shared across wraps.
-    The outer IPv4 and UDP headers carry per-packet lengths and the TTL
-    is mutated in flight, so they stay per-wrap.
+    A VXLAN wrap needs five header objects per forwarded packet, but for
+    one route — source, next hop and VNI — three of them are identical
+    across every packet of every flow: the outer Ethernet, the VXLAN
+    header and the synthetic inner Ethernet. Nothing downstream mutates
+    them in place (the underlay only decrements the outer IPv4 TTL, and
+    :meth:`Packet.copy` shallow-copies layers before any NAT surgery), so
+    they are built once here and shared across wraps. The outer IPv4 and
+    UDP headers carry per-packet lengths, the flow's source-port entropy
+    and a TTL mutated in flight, so they stay per-wrap.
 
-    The template is cached on the :class:`SessionEntry` (``entry.encap``)
-    and dropped whenever the route can change — demotion, promotion,
-    peer invalidation — or when the wrap-time key (next hop, VNI, source
-    port entropy) stops matching.
+    A vSwitch keeps one template per route it forwards on
+    (:meth:`VSwitch.encap_template`); the template is a pure function of
+    its key, so it never needs invalidating.
+    :func:`make_underlay_transport` is a one-off template.
     """
 
-    __slots__ = ("src_mac", "dst_mac", "src_ip", "dst_ip", "vni",
-                 "src_port", "eth", "vxlan", "inner_eth")
+    __slots__ = ("src_ip", "dst_ip", "eth", "vxlan")
 
     #: UDP-length overhead above the inner packet: UDP + VXLAN + inner Eth.
     OVERHEAD = (UdpHeader.wire_length + VxlanHeader.wire_length
@@ -369,39 +433,22 @@ class EncapTemplate:
 
     def __init__(self, src_mac: MacAddress, dst_mac: MacAddress,
                  src_ip: IPv4Address, dst_ip: IPv4Address,
-                 vni: int, src_port: int) -> None:
-        self.src_mac = src_mac
-        self.dst_mac = dst_mac
+                 vni: int) -> None:
         self.src_ip = src_ip
         self.dst_ip = dst_ip
-        self.vni = vni
-        self.src_port = src_port
         self.eth = EthernetHeader(dst_mac, src_mac)
         self.vxlan = VxlanHeader(vni)
-        self.inner_eth = EthernetHeader(MacAddress(0x02_00_00_00_00_02),
-                                        MacAddress(0x02_00_00_00_00_01))
 
-    def matches(self, src_mac: MacAddress, dst_mac: MacAddress,
-                src_ip: IPv4Address, dst_ip: IPv4Address,
-                vni: int, src_port: int) -> bool:
-        return (self.src_port == src_port
-                and self.vni == vni
-                and self.dst_ip == dst_ip
-                and self.dst_mac == dst_mac
-                and self.src_ip == src_ip
-                and self.src_mac == src_mac)
-
-    def wrap(self, inner: Packet) -> Packet:
-        """Encapsulate ``inner``; value-identical to
-        :func:`make_underlay_transport` with the same parameters."""
+    def wrap(self, inner: Packet, src_port: int) -> Packet:
+        """Encapsulate ``inner`` (``Eth / IPv4 / UDP / VXLAN / Eth``)."""
         udp_len = self.OVERHEAD + inner.wire_length
         total = IPv4Header.wire_length + udp_len
         outer = [
             self.eth,
             IPv4Header(self.src_ip, self.dst_ip, PROTO_UDP,
                        total_length=total),
-            UdpHeader(self.src_port, VXLAN_PORT, udp_len),
+            UdpHeader(src_port, VXLAN_PORT, udp_len),
             self.vxlan,
-            self.inner_eth,
+            _INNER_ETH,
         ]
-        return Packet(outer + inner.layers, inner.payload, dict(inner.meta))
+        return Packet.wrap(outer, inner, EthernetHeader.wire_length + total)

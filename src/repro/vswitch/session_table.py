@@ -45,14 +45,11 @@ class SessionEntry:
     """One bidirectional session.
 
     ``slot`` indexes the table's :class:`FlowRecordStore` column arrays
-    (-1 when the entry carries no state or the store is disabled);
-    ``encap`` caches the entry's :class:`~repro.net.packet.EncapTemplate`
-    and is dropped whenever the route may change (demotion, promotion,
-    peer invalidation).
+    (-1 when the entry carries no state or the store is disabled).
     """
 
     __slots__ = ("vni", "five_tuple", "pre_actions", "state", "mode",
-                 "charged_bytes", "slot", "encap")
+                 "charged_bytes", "slot")
 
     def __init__(self, vni: int, five_tuple: FiveTuple,
                  pre_actions: Optional[PreActions],
@@ -65,7 +62,6 @@ class SessionEntry:
         self.mode = mode
         self.charged_bytes = charged_bytes
         self.slot = -1
-        self.encap = None
 
     def __repr__(self) -> str:
         return (f"SessionEntry({self.five_tuple!r}, vni={self.vni}, "
@@ -210,7 +206,6 @@ class SessionTable:
             entry.pre_actions = None
             entry.mode = EntryMode.STATE_ONLY
             entry.charged_bytes = new_bytes
-            entry.encap = None
             if entry.slot >= 0:
                 self.records.flush(entry.slot, entry.state)
             converted += 1
@@ -228,7 +223,6 @@ class SessionTable:
         entry.pre_actions = pre_actions
         entry.mode = EntryMode.FULL
         entry.charged_bytes = new_bytes
-        entry.encap = None
         return True
 
     def invalidate_peer_flows(self, vni: int, peer_ip_value: int) -> int:
@@ -255,7 +249,6 @@ class SessionTable:
                 entry.pre_actions = None
                 entry.mode = EntryMode.STATE_ONLY
                 entry.charged_bytes = new_bytes
-                entry.encap = None
                 if entry.slot >= 0:
                     self.records.flush(entry.slot, entry.state)
                 affected += 1

@@ -34,12 +34,25 @@ class StatsPolicy(enum.Enum):
     PACKETS = 2
     FULL = 3
 
+    def __init__(self, value: int) -> None:
+        self.wire = bytes([value])  # built once: every hop encodes it
+
     def to_wire(self) -> bytes:
-        return bytes([self.value])
+        return self.wire
 
     @classmethod
     def from_wire(cls, data: bytes) -> "StatsPolicy":
-        return cls(data[0])
+        try:
+            return _POLICY_BY_VALUE[data[0]]
+        except KeyError:
+            raise ValueError(f"{data[0]} is not a valid StatsPolicy") from None
+
+
+_POLICY_BY_VALUE = {policy.value: policy for policy in StatsPolicy}
+_TCP_STATE_BY_VALUE = {state.value: state for state in TcpState}
+#: ``repro.vswitch.actions.Direction``, bound on first decode: that module
+#: imports this one, so it cannot be imported at load time.
+_Direction = None
 
 
 # Aging defaults (seconds). Established flows linger ~8 s on average in the
@@ -129,14 +142,19 @@ class SessionState:
 
     @classmethod
     def from_wire(cls, data: bytes) -> "SessionState":
-        from repro.vswitch.actions import Direction
+        global _Direction
         if len(data) < 8:
             raise ValueError(f"state blob needs 8B, got {len(data)}")
-        state = cls()
+        first_direction = None
         if data[0:1] != b"?":
-            state.first_direction = Direction.from_wire(data[0:1])
-        state.tcp_state = TcpState(data[1])
-        state.stats_policy = StatsPolicy.from_wire(data[2:3])
-        if data[3]:
-            state.decap_overlay_src = IPv4Address.from_bytes(data[4:8])
-        return state
+            if _Direction is None:
+                from repro.vswitch.actions import Direction as _Direction
+            first_direction = _Direction.from_wire(data[0:1])
+        try:
+            tcp_state = _TCP_STATE_BY_VALUE[data[1]]
+        except KeyError:
+            raise ValueError(f"{data[1]} is not a valid TcpState") from None
+        return cls(first_direction=first_direction, tcp_state=tcp_state,
+                   stats_policy=StatsPolicy.from_wire(data[2:3]),
+                   decap_overlay_src=(IPv4Address.from_bytes(data[4:8])
+                                      if data[3] else None))

@@ -28,7 +28,8 @@ from repro.net.five_tuple import PROTO_TCP, FiveTuple
 from repro.net.ipv4 import IPv4Header
 from repro.net.nsh import NshHeader
 from repro.net.packet import (EncapTemplate, NSH_PORT, Packet,
-                              make_underlay_transport)
+                              make_underlay_transport,
+                              strip_underlay_transport)
 from repro.net.tcp import TcpHeader
 from repro.net.udp import UdpHeader
 from repro.net.vxlan import VXLAN_PORT, VxlanHeader
@@ -149,6 +150,8 @@ class VSwitch:
         self._vnic_by_addr: Dict[Tuple[int, int], Vnic] = {}
         self._datapaths: Dict[int, Datapath] = {}
         self._local_datapath = LocalDatapath(self)
+        # (next-hop IP, next-hop MAC, VNI) -> shared VXLAN outer headers.
+        self._encap_templates: Dict[Tuple[int, int, int], EncapTemplate] = {}
         self.nsh_handler: Optional[Callable[[Packet], None]] = None
         # Nezha FE hook: consulted for (already decapped) overlay arrivals
         # targeting vNICs not hosted here but *fronted* here. Receives the
@@ -219,7 +222,9 @@ class VSwitch:
         self._vnic_by_addr[(vni, IPv4Address(ip).value)] = vnic
 
     def vnic_for(self, vni: int, tenant_ip: IPv4Address) -> Optional[Vnic]:
-        return self._vnic_by_addr.get((vni, IPv4Address(tenant_ip).value))
+        if type(tenant_ip) is not IPv4Address:
+            tenant_ip = IPv4Address(tenant_ip)
+        return self._vnic_by_addr.get((vni, tenant_ip.value))
 
     def set_datapath(self, vnic_id: int, datapath: Optional[Datapath]) -> None:
         """Override the datapath for one vNIC (None restores local)."""
@@ -421,9 +426,7 @@ class VSwitch:
             _spans.hop(packet, "vswitch_rx", self.engine.now)
         outer_ip = packet.find(IPv4Header)
         outer_src = outer_ip.src if outer_ip is not None else None
-        packet.decap_until(VxlanHeader)
-        packet.decap(1)                      # VXLAN
-        packet.decap_until(IPv4Header)       # inner Ethernet
+        strip_underlay_transport(packet)
         inner_ip = packet.expect(IPv4Header)
         vnic = self.vnic_for(vni, inner_ip.dst)
         if vnic is None:
@@ -459,9 +462,7 @@ class VSwitch:
         self.stats.rx_packets += count
         outer_ip = packet.find(IPv4Header)
         outer_src = outer_ip.src if outer_ip is not None else None
-        packet.decap_until(VxlanHeader)
-        packet.decap(1)                      # VXLAN
-        packet.decap_until(IPv4Header)       # inner Ethernet
+        strip_underlay_transport(packet)
         inner_ip = packet.expect(IPv4Header)
         vni = vxlan.vni
         vnic = self.vnic_for(vni, inner_ip.dst)
@@ -500,10 +501,9 @@ class VSwitch:
         if _spans.ACTIVE:
             _spans.hop(packet, "fabric_tx", self.engine.now)
         entropy = 49152 + (packet.five_tuple().hash() & 0x3FFF)
-        wrapped = make_underlay_transport(
-            self.server.mac, action.next_hop_mac or MacAddress.broadcast(),
-            self.server.underlay_ip, action.next_hop_ip,
-            packet, vni=action.vni, src_port=entropy)
+        wrapped = self.encap_template(
+            action.next_hop_ip, action.next_hop_mac,
+            action.vni).wrap(packet, entropy)
         self.stats.forwarded += 1
         self.server.send_to_fabric(wrapped)
         if action.mirror_to is not None:
@@ -514,34 +514,28 @@ class VSwitch:
                 packet.copy(), vni=action.vni, src_port=entropy)
             self.server.send_to_fabric(mirror)
 
-    def encap_template(self, entry, next_hop_ip: IPv4Address,
-                       next_hop_mac: MacAddress, vni: int,
-                       src_port: int) -> EncapTemplate:
-        """The entry's cached :class:`EncapTemplate`, (re)built when the
-        route key changed since it was cached."""
-        tmpl = entry.encap if entry is not None else None
-        if tmpl is None or not tmpl.matches(
-                self.server.mac, next_hop_mac, self.server.underlay_ip,
-                next_hop_ip, vni, src_port):
-            tmpl = EncapTemplate(self.server.mac, next_hop_mac,
-                                 self.server.underlay_ip, next_hop_ip,
-                                 vni, src_port)
-            if entry is not None:
-                entry.encap = tmpl
+    def encap_template(self, next_hop_ip: IPv4Address,
+                       next_hop_mac: Optional[MacAddress],
+                       vni: int) -> EncapTemplate:
+        """This vSwitch's :class:`EncapTemplate` for one overlay route
+        (a missing next-hop MAC means broadcast), built on first use."""
+        mac = (next_hop_mac.value if next_hop_mac is not None
+               else MacAddress.BROADCAST_VALUE)
+        key = (next_hop_ip.value, mac, vni)
+        tmpl = self._encap_templates.get(key)
+        if tmpl is None:
+            tmpl = self._encap_templates[key] = EncapTemplate(
+                self.server.mac, next_hop_mac or MacAddress.broadcast(),
+                self.server.underlay_ip, next_hop_ip, vni)
         return tmpl
 
     def forward_overlay_burst(
-            self, routed: List[Tuple[Packet, FinalAction]],
-            entry=None) -> None:
+            self, routed: List[Tuple[Packet, FinalAction]]) -> None:
         """Encapsulate a burst of (packet, action) pairs and emit them to
         the fabric as one serialized train. Per-packet encapsulation,
         entropy, and mirror handling match :meth:`forward_overlay`
-        exactly; only the uplink scheduling is coalesced. When the
-        caller's session ``entry`` is given (and flow records are on),
-        the constant outer headers come from its cached
-        :class:`EncapTemplate` instead of being rebuilt per packet."""
+        exactly; only the uplink scheduling is coalesced."""
         out: List[Packet] = []
-        use_template = FlowRecordStore.enabled
         for packet, action in routed:
             if action.next_hop_ip is None:
                 self.stats.no_route_drops += 1
@@ -550,20 +544,10 @@ class VSwitch:
             if _spans.ACTIVE:
                 _spans.hop(packet, "fabric_tx", self.engine.now)
             entropy = 49152 + (packet.five_tuple().hash() & 0x3FFF)
-            if use_template:
-                tmpl = self.encap_template(
-                    entry, action.next_hop_ip,
-                    action.next_hop_mac or MacAddress.broadcast(),
-                    action.vni, entropy)
-                wrapped = tmpl.wrap(packet)
-            else:
-                wrapped = make_underlay_transport(
-                    self.server.mac,
-                    action.next_hop_mac or MacAddress.broadcast(),
-                    self.server.underlay_ip, action.next_hop_ip,
-                    packet, vni=action.vni, src_port=entropy)
+            out.append(self.encap_template(
+                action.next_hop_ip, action.next_hop_mac,
+                action.vni).wrap(packet, entropy))
             self.stats.forwarded += 1
-            out.append(wrapped)
             if action.mirror_to is not None:
                 self.stats.mirrored += 1
                 out.append(make_underlay_transport(
@@ -573,7 +557,7 @@ class VSwitch:
         if out:
             self.server.send_to_fabric_burst(out)
 
-    def forward_overlay_run(self, entry, packet: Packet, count: int,
+    def forward_overlay_run(self, packet: Packet, count: int,
                             next_hop_ip: Optional[IPv4Address],
                             next_hop_mac: Optional[MacAddress],
                             vni: int) -> None:
@@ -585,10 +569,8 @@ class VSwitch:
                 self.trace.emit("pkt.no_route", vswitch=self.name)
             return
         entropy = 49152 + (packet.five_tuple().hash() & 0x3FFF)
-        tmpl = self.encap_template(entry, next_hop_ip,
-                                   next_hop_mac or MacAddress.broadcast(),
-                                   vni, entropy)
-        wrapped = tmpl.wrap(packet)
+        wrapped = self.encap_template(next_hop_ip, next_hop_mac,
+                                      vni).wrap(packet, entropy)
         self.stats.forwarded += count
         self.server.send_to_fabric_run(wrapped, count)
 
@@ -798,7 +780,7 @@ class LocalDatapath(Datapath):
                 action.next_hop_ip = entry.state.decap_overlay_src
                 action.next_hop_mac = None
             routed.append((packet, action))
-        vs.forward_overlay_burst(routed, entry)
+        vs.forward_overlay_burst(routed)
 
     def _complete_tx_run(self, vnic: Vnic, entry, packets,
                          run_bytes: int) -> None:
@@ -843,11 +825,9 @@ class LocalDatapath(Datapath):
                 vs.trace.emit("pkt.no_route", vswitch=vs.name)
             return
         entropy = 49152 + (out[0].five_tuple().hash() & 0x3FFF)
-        tmpl = vs.encap_template(entry, next_hop_ip,
-                                 next_hop_mac or MacAddress.broadcast(),
-                                 pre.vni, entropy)
+        tmpl = vs.encap_template(next_hop_ip, next_hop_mac, pre.vni)
         vs.stats.forwarded += len(out)
-        vs.server.send_to_fabric_burst([tmpl.wrap(p) for p in out])
+        vs.server.send_to_fabric_burst([tmpl.wrap(p, entropy) for p in out])
 
     # -- fluid TX (FluidMode) ------------------------------------------------------
 
@@ -915,7 +895,7 @@ class LocalDatapath(Datapath):
             next_hop_ip, next_hop_mac = state.decap_overlay_src, None
         else:
             next_hop_ip, next_hop_mac = pre.next_hop_ip, pre.next_hop_mac
-        vs.forward_overlay_run(entry, packet, k, next_hop_ip, next_hop_mac,
+        vs.forward_overlay_run(packet, k, next_hop_ip, next_hop_mac,
                                pre.vni)
 
     def _tx_single(self, vnic: Vnic, packet: Packet) -> None:

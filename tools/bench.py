@@ -78,6 +78,7 @@ FLEET_SCHEMA = "bench_fleet/v1"
 GATE_TOLERANCES = {
     "flow_record_hit": 0.20,
     "fluid_fastforward": 0.20,
+    "crr_connection": 0.20,
 }
 
 
