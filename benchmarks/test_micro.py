@@ -2,9 +2,7 @@
 
 These measure the exact same ops as ``tools/bench.py`` (both import
 :data:`repro.bench.BENCHES`), so the pytest-benchmark tables and the
-tracked ``BENCH_fastpath.json`` can be compared directly. Benches with a
-legacy twin also run the pre-overhaul code path, grouped together so
-``--benchmark-group-by=group`` shows the before/after pair.
+tracked ``BENCH_fastpath.json`` can be compared directly.
 
 Run::
 
@@ -20,20 +18,8 @@ _IDS = [b.name for b in BENCHES]
 
 @pytest.mark.parametrize("bench", BENCHES, ids=_IDS)
 def test_optimized(bench, benchmark):
-    optimized, _legacy, ops = bench.setup()
+    op, ops = bench.setup()
     benchmark.group = bench.name
     benchmark.extra_info["ops_per_call"] = ops
     benchmark.extra_info["description"] = bench.description
-    benchmark(optimized)
-
-
-_TWINNED = [b for b in BENCHES if b.setup()[1] is not None]
-
-
-@pytest.mark.parametrize("bench", _TWINNED, ids=[b.name for b in _TWINNED])
-def test_legacy(bench, benchmark):
-    _optimized, legacy, ops = bench.setup()
-    benchmark.group = bench.name
-    benchmark.extra_info["ops_per_call"] = ops
-    benchmark.extra_info["description"] = f"{bench.description} (legacy path)"
-    benchmark(legacy)
+    benchmark(op)

@@ -2,10 +2,10 @@
 
 Two layers:
 
-* **micro** — (setup, optimized op, legacy op) triples over the
-  per-packet hot paths; ``tools/bench.py`` runs them and writes
-  ``BENCH_fastpath.json``; ``benchmarks/test_micro.py`` runs the same
-  ops under pytest-benchmark.
+* **micro** — setups returning (op, ops per call) over the per-packet
+  hot paths; ``tools/bench.py`` runs them, gates their
+  calibration-normalized throughput and writes ``BENCH_fastpath.json``;
+  ``benchmarks/test_micro.py`` runs the same ops under pytest-benchmark.
 * **macro** — whole-experiment wall clocks, sequential vs process-pool
   (``tools/bench.py --experiments`` → ``BENCH_experiments.json``).
 * **fleet** — fleet-scale wall clock + tracemalloc peak per scale point

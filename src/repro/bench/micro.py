@@ -1,15 +1,12 @@
 """Microbenchmarks over the per-packet hot paths.
 
-Each :class:`MicroBench` builds a workload once and exposes the optimized
-op plus, where the optimization kept its pre-change implementation behind
-a legacy switch, the baseline op. The baseline runs the *same workload
-through the pre-overhaul code path* (pure-heap engine, uncached chain,
-full-scan ACL, per-label percentile sorts), so the recorded speedup is a
-true before/after delta on the same machine.
-
-Ops/sec numbers are machine-dependent; speedups and the calibration-
-normalized throughputs are not, which is what the CI smoke gate checks
-(see ``tools/bench.py``).
+Each :class:`MicroBench` builds a workload once and exposes one op: the
+datapath exactly as every experiment runs it. A bench's throughput is
+normalized by the speed of a fixed pure-python calibration loop, sampled
+right before and right after that bench, so the normalized number
+transfers across machines and across drifts in host speed within one
+run. The CI smoke gate compares it against the committed
+``BENCH_fastpath.json`` (see ``tools/bench.py``).
 """
 
 from __future__ import annotations
@@ -17,113 +14,32 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.fabric.device import ServerNode
 from repro.fabric.link import Link
-from repro.metrics.percentiles import STANDARD_LABELS, percentile, \
-    percentile_summary
+from repro.metrics.percentiles import percentile_summary
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.five_tuple import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FiveTuple
 from repro.net.packet import Packet, make_underlay_transport
 from repro.sim.engine import Engine
-from repro.sim.resources import CpuResource, MemoryBudget
+from repro.sim.resources import MemoryBudget
 from repro.vswitch.actions import Direction, Verdict
 from repro.vswitch.costs import CostModel
-from repro.vswitch.flow_records import FlowRecordStore, FluidMode
 from repro.vswitch.rule_tables import (AclRule, AclTable, LookupContext,
                                        MappingEntry)
 from repro.vswitch.session_table import EntryMode, SessionTable
-from repro.vswitch.slow_path import SlowPath
 from repro.vswitch.vnic import Vnic
-from repro.vswitch.vswitch import Datapath, VSwitch, make_standard_chain
+from repro.vswitch.vswitch import VSwitch, make_standard_chain
 
 
 @dataclass
 class MicroBench:
-    """One benchmark: a setup returning (optimized op, legacy op, ops/call)."""
+    """One benchmark: a setup returning (op, ops per call)."""
 
     name: str
     description: str
-    setup: Callable[[], Tuple[Callable[[], object],
-                              Optional[Callable[[], object]], int]]
-
-
-def _legacy_flags(fn: Callable[[], object]) -> Callable[[], object]:
-    """Run ``fn`` with every optimization switched to its legacy path."""
-
-    def wrapped() -> object:
-        saved = (Engine.micro_queue, SlowPath.caching,
-                 AclTable.bucketed, Packet.memoize,
-                 Link.burst, Datapath.batching, FiveTuple.memoize_key,
-                 CpuResource.direct_dispatch, FlowRecordStore.enabled,
-                 FluidMode.enabled)
-        Engine.micro_queue = False
-        SlowPath.caching = False
-        AclTable.bucketed = False
-        Packet.memoize = False
-        Link.burst = False
-        Datapath.batching = False
-        FiveTuple.memoize_key = False
-        CpuResource.direct_dispatch = False
-        FlowRecordStore.enabled = False
-        FluidMode.enabled = False
-        try:
-            return fn()
-        finally:
-            (Engine.micro_queue, SlowPath.caching,
-             AclTable.bucketed, Packet.memoize,
-             Link.burst, Datapath.batching, FiveTuple.memoize_key,
-             CpuResource.direct_dispatch, FlowRecordStore.enabled,
-             FluidMode.enabled) = saved
-
-    return wrapped
-
-
-def _pre_batching(fn: Callable[[], object]) -> Callable[[], object]:
-    """Run ``fn`` on the pre-burst path: PR-1 optimizations stay on, only
-    the burst-era switches flip off. The burst benches use this so their
-    recorded speedup isolates batching from the earlier cache work."""
-
-    def wrapped() -> object:
-        saved = (Link.burst, Datapath.batching, FiveTuple.memoize_key,
-                 CpuResource.direct_dispatch, FlowRecordStore.enabled,
-                 FluidMode.enabled)
-        Link.burst = False
-        Datapath.batching = False
-        FiveTuple.memoize_key = False
-        CpuResource.direct_dispatch = False
-        FlowRecordStore.enabled = False
-        FluidMode.enabled = False
-        try:
-            return fn()
-        finally:
-            (Link.burst, Datapath.batching, FiveTuple.memoize_key,
-             CpuResource.direct_dispatch, FlowRecordStore.enabled,
-             FluidMode.enabled) = saved
-
-    return wrapped
-
-
-def _pre_records(fn: Callable[[], object]) -> Callable[[], object]:
-    """Run ``fn`` on the pre-flow-records path: burst-era switches stay
-    on, only this PR's switches (array-backed records, direct CPU
-    dispatch, fluid runs) flip off — the recorded speedup isolates the
-    flow-record work from the earlier batching work."""
-
-    def wrapped() -> object:
-        saved = (CpuResource.direct_dispatch, FlowRecordStore.enabled,
-                 FluidMode.enabled)
-        CpuResource.direct_dispatch = False
-        FlowRecordStore.enabled = False
-        FluidMode.enabled = False
-        try:
-            return fn()
-        finally:
-            (CpuResource.direct_dispatch, FlowRecordStore.enabled,
-             FluidMode.enabled) = saved
-
-    return wrapped
+    setup: Callable[[], Tuple[Callable[[], object], int]]
 
 
 # -- workload builders -------------------------------------------------------
@@ -174,29 +90,22 @@ def _setup_slow_path_lookup():
             out = chain.lookup(ctx)
         return out
 
-    return op, _legacy_flags(op), len(contexts)
+    return op, len(contexts)
 
 
 def _setup_acl_verdict():
     acl = AclTable(_dense_acl_rules(240))
     probes = _probe_tuples(32)
 
-    def optimized() -> object:
+    def op() -> object:
         out = None
         for ft in probes:
             out = acl._verdict(ft, Direction.TX)
             out = acl._verdict(ft.reversed(), Direction.RX)
         return out
 
-    def legacy() -> object:
-        out = None
-        for ft in probes:
-            out = acl._verdict_scan(ft, Direction.TX)
-            out = acl._verdict_scan(ft.reversed(), Direction.RX)
-        return out
-
-    optimized()                      # build the buckets outside the clock
-    return optimized, legacy, len(probes) * 2
+    op()                             # build the buckets outside the clock
+    return op, len(probes) * 2
 
 
 def _setup_session_table():
@@ -215,9 +124,7 @@ def _setup_session_table():
             table.remove(7, ft)
         return hit
 
-    # Legacy twin: the uncached session key is rebuilt on every probe
-    # (three per tuple here), which is what the burst work memoized.
-    return op, _legacy_flags(op), len(tuples) * 3
+    return op, len(tuples) * 3
 
 
 def _setup_engine_dispatch():
@@ -246,7 +153,7 @@ def _setup_engine_dispatch():
         engine.run(until=1.0)
         return state["count"]
 
-    return op, _legacy_flags(op), n_dispatch + 200
+    return op, n_dispatch + 200
 
 
 def _setup_packet_codec():
@@ -265,12 +172,7 @@ def _setup_packet_codec():
         assert out == wire
         return out
 
-    # Legacy twin: the same round trip with every switch (packet
-    # memoization included) off. The codec itself has no cached fast
-    # path, so the recorded speedup is ~1x — the committed baseline
-    # makes that visible and lets the smoke gate catch a real
-    # regression in either direction of the pair.
-    return op, _legacy_flags(op), batch
+    return op, batch
 
 
 def _setup_packet_copy_fivetuple():
@@ -289,7 +191,7 @@ def _setup_packet_copy_fivetuple():
                    hop.wire_length, hop.wire_length)
         return out
 
-    return op, _legacy_flags(op), batch
+    return op, batch
 
 
 def _setup_link_burst_transmit():
@@ -311,36 +213,7 @@ def _setup_link_burst_transmit():
         engine.run()
         return receiver.rx_packets
 
-    return op, _pre_batching(op), len(burst)
-
-
-def _setup_datapath_burst_hit():
-    engine = Engine()
-    server = ServerNode(engine, "bench-s", IPv4Address("172.16.9.9"),
-                        MacAddress(0xA9))
-    cost_model = CostModel()
-    vswitch = VSwitch(engine, server, cost_model)
-    vnic = Vnic(1, 7, IPv4Address("10.0.0.2"), MacAddress(2),
-                make_standard_chain(cost_model))
-    vswitch.add_vnic(vnic)
-    vnic.attach_guest(lambda pkt: None)
-    datapath = vswitch.datapath_for(vnic)
-    # One UDP flow: the first packet walks the slow path and creates the
-    # session; every benched packet is then a pure fast-path hit with no
-    # TCP FSM to consult — the batchable steady state.
-    pkt = Packet.udp(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                     4242, 5353, payload=b"x" * 256)
-    datapath.handle_rx(vnic, pkt)
-    engine.run()
-    assert vswitch.stats.delivered == 1
-    burst = [pkt.copy() for _ in range(32)]
-
-    def op() -> object:
-        datapath.handle_rx_burst(vnic, burst)
-        engine.run()
-        return vswitch.stats.delivered
-
-    return op, _pre_batching(op), len(burst)
+    return op, len(burst)
 
 
 def _setup_flow_record_hit():
@@ -366,10 +239,7 @@ def _setup_flow_record_hit():
         engine.run()
         return vswitch.stats.delivered
 
-    # Legacy twin keeps the burst machinery on and flips only this PR's
-    # switches: the classified run is charged per packet through
-    # SessionState objects instead of the array-backed store.
-    return op, _pre_records(op), len(burst)
+    return op, len(burst)
 
 
 def _setup_fluid_fastforward():
@@ -396,10 +266,7 @@ def _setup_fluid_fastforward():
         engine.run()
         return vswitch.stats.delivered
 
-    # Legacy twin: with the record store off the run materializes into
-    # 32 copies and replays the burst path — the speedup is the fluid
-    # fast-forward's alone.
-    return op, _pre_records(op), run_len
+    return op, run_len
 
 
 #: Simulated time one benched connection gets: an unloaded offloaded
@@ -425,32 +292,17 @@ def _setup_crr_connection():
         assert conn.completed_at is not None
         return conn
 
-    return op, None, 1
-
-
-def _legacy_percentile_summary(data) -> Dict[str, float]:
-    """The pre-overhaul implementation: one full sort per label."""
-    summary = {}
-    for label, q in STANDARD_LABELS:
-        if q < 0:
-            summary[label] = sum(data) / len(data) if data else 0.0
-        else:
-            summary[label] = percentile(data, q) if data else 0.0
-    return summary
+    return op, 1
 
 
 def _setup_percentile_summary():
     rng = random.Random(5)
     data = [rng.expovariate(1.0) for _ in range(4000)]
 
-    def optimized() -> object:
+    def op() -> object:
         return percentile_summary(data)
 
-    def legacy() -> object:
-        return _legacy_percentile_summary(data)
-
-    assert optimized() == legacy()
-    return optimized, legacy, 1
+    return op, 1
 
 
 BENCHES: Tuple[MicroBench, ...] = (
@@ -476,18 +328,14 @@ BENCHES: Tuple[MicroBench, ...] = (
                "avg/P50..P9999 summary over 4000 samples",
                _setup_percentile_summary),
     MicroBench("link_burst_transmit",
-               "32-packet burst over one link vs per-packet transmits",
+               "32-packet burst over one link",
                _setup_link_burst_transmit),
-    MicroBench("datapath_burst_hit",
-               "32-packet same-flow RX burst through the vSwitch fast path",
-               _setup_datapath_burst_hit),
     MicroBench("flow_record_hit",
-               "32-packet burst charged to array-backed flow records "
-               "vs per-packet SessionState objects",
+               "32-packet same-flow RX burst through the vSwitch fast "
+               "path, charged to array-backed flow records",
                _setup_flow_record_hit),
     MicroBench("fluid_fastforward",
-               "32-packet fluid run (one descriptor end-to-end) vs "
-               "materialized burst replay",
+               "32-packet fluid run (one descriptor end-to-end)",
                _setup_fluid_fastforward),
     MicroBench("crr_connection",
                "one offloaded TCP CRR connection, SYN to FIN, through "
@@ -521,28 +369,39 @@ def calibration_loop() -> int:
     return acc
 
 
+#: Calibration-loop calls per host-speed sample (~20 ms).
+CALIBRATION_CALLS = 20
+
+
+def host_speed() -> float:
+    """Calibration-loop iterations per second, measured now."""
+    start = perf_counter()
+    for _ in range(CALIBRATION_CALLS):
+        calibration_loop()
+    return CALIBRATION_CALLS * 10_000 / (perf_counter() - start)
+
+
 def run_bench(bench: MicroBench,
-              target_seconds: float = 0.25) -> Dict[str, Optional[float]]:
-    optimized, legacy, ops = bench.setup()
-    result: Dict[str, Optional[float]] = {
+              target_seconds: float = 0.25) -> Dict[str, object]:
+    """Measure one bench. Its throughput is normalized by the mean host
+    speed sampled right before and right after it, so a host that slows
+    down or speeds up between benches moves no normalized number."""
+    op, ops = bench.setup()
+    before = host_speed()
+    ops_per_sec = _ops_per_sec(op, ops, target_seconds)
+    calibration = (before + host_speed()) / 2
+    return {
         "description": bench.description,
-        "ops_per_sec": _ops_per_sec(optimized, ops, target_seconds),
-        "baseline_ops_per_sec": None,
-        "speedup": None,
+        "ops_per_sec": ops_per_sec,
+        "calibration_ops_per_sec": calibration,
+        "normalized": ops_per_sec / calibration,
     }
-    if legacy is not None:
-        baseline = _ops_per_sec(legacy, ops, target_seconds)
-        result["baseline_ops_per_sec"] = baseline
-        result["speedup"] = result["ops_per_sec"] / baseline
-    return result
 
 
 def run_all(target_seconds: float = 0.25) -> Dict[str, Dict]:
-    calibration = _ops_per_sec(calibration_loop, 10_000, target_seconds)
     results: Dict[str, Dict] = {}
     for bench in BENCHES:
-        entry = run_bench(bench, target_seconds)
-        entry["normalized"] = entry["ops_per_sec"] / calibration
-        results[bench.name] = entry
-    results["_calibration_ops_per_sec"] = calibration
+        results[bench.name] = run_bench(bench, target_seconds)
+    samples = [entry["calibration_ops_per_sec"] for entry in results.values()]
+    results["_calibration_ops_per_sec"] = sum(samples) / len(samples)
     return results

@@ -105,9 +105,9 @@ def simulate_hot_epoch(seed: int, demand_ratio: float, granted: bool,
 
     ``fluid`` (default on) runs the elephant train under the §5.5 fluid
     fast-forward — eligible packet runs advance analytically, anything
-    ineligible re-materializes through the burst path — which is proven
-    output-identical to the per-packet run (the PR 6 determinism suite,
-    plus a hotsim-level regression pinning ``fluid=True`` ==
+    ineligible re-materializes through the burst path — which preserves
+    every traffic aggregate of the burst run (the elephant fluid-vs-burst
+    totals test, plus a hotsim-level regression pinning ``fluid=True`` ==
     ``fluid=False`` here). At 10K vSwitches the ~300 hot micro-sims are
     the fleet's dominant wall-clock cost, and the fast-forward cuts them
     ~3x without touching a single output value. The global

@@ -26,11 +26,6 @@ _HASH_BLOB = struct.Struct("!QIIBHH")
 class FiveTuple:
     """(src ip, dst ip, protocol, src port, dst port) — the flow key."""
 
-    #: Class-level switch for the cached session key. ``False`` rebuilds
-    #: the tuple on every call (the pre-burst behavior); the burst
-    #: determinism suite runs both and requires identical outputs.
-    memoize_key: bool = True
-
     __slots__ = ("src_ip", "dst_ip", "proto", "src_port", "dst_port",
                  "_hash", "_session_key", "_hash64", "_reversed")
 
@@ -66,7 +61,7 @@ class FiveTuple:
         every segment of the connection. The memo points one way only,
         so the pair forms no reference cycle."""
         rev = self._reversed
-        if rev is not None and FiveTuple.memoize_key:
+        if rev is not None:
             return rev
         rev = FiveTuple(self.dst_ip, self.src_ip, self.proto,
                         self.dst_port, self.src_port)
@@ -82,7 +77,7 @@ class FiveTuple:
         hot call.
         """
         key = self._session_key
-        if key is not None and FiveTuple.memoize_key:
+        if key is not None:
             return key
         a = (self.src_ip.value, self.src_port)
         b = (self.dst_ip.value, self.dst_port)
@@ -105,7 +100,7 @@ class FiveTuple:
         """
         if seed == 0:
             cached = self._hash64
-            if cached is not None and FiveTuple.memoize_key:
+            if cached is not None:
                 return cached
         # seed (8 B) | src ip | dst ip | proto (1 B) | ports, big-endian.
         blob = _HASH_BLOB.pack(seed, self.src_ip.value, self.dst_ip.value,

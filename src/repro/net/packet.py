@@ -51,10 +51,6 @@ class Packet:
 
     __slots__ = ("layers", "payload", "meta", "_ft", "_wire", "_enc")
 
-    #: Class-level switch for the five_tuple/wire_length memo. Tests flip
-    #: it to prove memoization changes no simulation outputs.
-    memoize: bool = True
-
     def __init__(self, layers: List[Header], payload: bytes = b"",
                  meta: Optional[Dict[str, Any]] = None) -> None:
         if not layers:
@@ -89,8 +85,7 @@ class Packet:
             raise PacketError(f"not a TCP flow: {flow!r}")
         pkt = cls.tcp(flow.src_ip, flow.dst_ip, flow.src_port,
                       flow.dst_port, flags, payload)
-        if cls.memoize:
-            pkt._ft = flow
+        pkt._ft = flow
         return pkt
 
     @classmethod
@@ -150,7 +145,7 @@ class Packet:
     def five_tuple(self) -> FiveTuple:
         """The innermost flow key (the tenant's 5-tuple); memoized."""
         ft = self._ft
-        if ft is not None and self.memoize:
+        if ft is not None:
             return ft
         ip = self.inner_ipv4()
         l4 = self.inner_l4()
@@ -225,12 +220,8 @@ class Packet:
         new.payload = inner.payload
         new.meta = dict(inner.meta)
         new._enc = None
-        if cls.memoize:
-            new._ft = inner._ft
-            new._wire = wire_length
-        else:
-            new._ft = None
-            new._wire = None
+        new._ft = inner._ft
+        new._wire = wire_length
         return new
 
     def strip_tunnel(self, count: int) -> None:
@@ -245,8 +236,6 @@ class Packet:
         del self.layers[:count]
         self._wire = None
         self._enc = None
-        if not self.memoize:
-            self._ft = None
 
     def copy(self) -> "Packet":
         """A shallow-header copy (headers re-decoded from bytes would be
@@ -262,14 +251,9 @@ class Packet:
         new.layers = [_shallow_copy(layer) for layer in self.layers]
         new.payload = self.payload
         new.meta = dict(self.meta)
-        if Packet.memoize:
-            new._ft = self._ft
-            new._wire = self._wire
-            new._enc = self._enc
-        else:
-            new._ft = None
-            new._wire = None
-            new._enc = None
+        new._ft = self._ft
+        new._wire = self._wire
+        new._enc = self._enc
         return new
 
     # -- wire form --------------------------------------------------------------
@@ -277,7 +261,7 @@ class Packet:
     @property
     def wire_length(self) -> int:
         wire = self._wire
-        if wire is not None and self.memoize:
+        if wire is not None:
             return wire
         wire = sum(layer.wire_length
                    for layer in self.layers) + len(self.payload)
@@ -286,7 +270,7 @@ class Packet:
 
     def encode(self) -> bytes:
         enc = self._enc
-        if enc is not None and self.memoize:
+        if enc is not None:
             return enc
         enc = b"".join(layer.encode() for layer in self.layers) + self.payload
         self._enc = enc

@@ -15,8 +15,7 @@ These model the scarce quantities the paper's analysis revolves around:
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ResourceExhausted, SimulationError
 from repro.sim.engine import Engine, Event
@@ -25,9 +24,10 @@ from repro.sim.engine import Engine, Event
 class CpuResource:
     """A multi-core CPU with per-core FIFO service.
 
-    Jobs are submitted with :meth:`execute` (a process-style generator you
-    ``yield from``) or fire-and-forget :meth:`submit`. Each job costs a
-    number of cycles; service time is ``cycles / hz``. Jobs are dispatched
+    Jobs are booked with :meth:`try_book` (the caller schedules its own
+    completion) or :meth:`try_submit_call` (a callback run at completion),
+    both drop-tail. Each job costs a number of cycles; service time is
+    ``cycles / hz``. Jobs are dispatched
     to the least-loaded core (shortest backlog), which models the
     run-to-completion, flow-pinned polling threads of a real vSwitch
     closely enough for capacity analysis.
@@ -36,15 +36,6 @@ class CpuResource:
     controller can poll "current" utilization the way production telemetry
     does.
     """
-
-    #: Class-level switch for direct completion dispatch: booked jobs
-    #: schedule their completion callback straight onto the engine
-    #: (one micro-queue hop after the completion instant, exactly where
-    #: a process resumed by the job Event would run) instead of paying
-    #: an Event + generator Process per job. ``False`` restores the
-    #: event-driven path; the flow-records determinism suite runs
-    #: fig9/fig12 both ways and requires identical tables.
-    direct_dispatch: bool = True
 
     def __init__(
         self,
@@ -99,37 +90,16 @@ class CpuResource:
         self.jobs_done += 1
         return end
 
-    def submit(self, cycles: float) -> Event:
-        """Enqueue a job; returns an Event fired at its completion time."""
-        end = self._book(cycles)
-        done = self.engine.event(name=f"{self.name}.job")
-        self.engine.call_at(end, done.succeed, None)
-        return done
-
-    def execute(self, cycles: float) -> Generator[Any, Any, None]:
-        """Process-style helper: ``yield from cpu.execute(cycles)``."""
-        yield self.submit(cycles)
-
     def _backlogged(self, max_backlog: float) -> bool:
         free = self._free_at
         head = free[0] if len(free) == 1 else min(free)
         return head - self.engine.now > max_backlog
 
-    def try_submit(self, cycles: float, max_backlog: float) -> Optional[Event]:
-        """Submit unless the least-loaded core's backlog exceeds
-        ``max_backlog`` seconds; returns None (and counts a rejection) when
-        the job is dropped. This models drop-tail under overload.
-        """
-        if self._backlogged(max_backlog):
-            self.jobs_rejected += 1
-            return None
-        return self.submit(cycles)
-
     def try_book(self, cycles: float, max_backlog: float) -> Optional[float]:
-        """Drop-tail admission returning the bare completion time.
-
-        The direct-dispatch twin of :meth:`try_submit`: the caller
-        schedules its own completion callback, so no Event is built.
+        """Book a job unless the least-loaded core's backlog exceeds
+        ``max_backlog`` seconds; returns its completion time, or None (and
+        counts a rejection) when the job is dropped. This models drop-tail
+        under overload.
         """
         if self._backlogged(max_backlog):
             self.jobs_rejected += 1
@@ -141,9 +111,8 @@ class CpuResource:
         """Book a job and run ``fn(*args)`` at its completion (drop-tail).
 
         The callback lands on the engine's micro-queue one hop after the
-        completion instant's heap pop — the exact position a process
-        resumed by the job's Event would run at — so schedules are
-        indistinguishable from the event-driven path.
+        completion instant's heap pop — the position a process resumed by
+        an Event fired at that instant would run at.
         """
         if self._backlogged(max_backlog):
             self.jobs_rejected += 1

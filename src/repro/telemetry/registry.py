@@ -2,7 +2,7 @@
 
 Components register metrics under dotted names (``vswitch.be0.cpu.drops``,
 ``controller.reconcile.errors``) so a whole subtree can be selected with a
-glob pattern. The cost model follows the repo's legacy-switch idiom:
+glob pattern. The cost model keeps disabled telemetry near free:
 
 * **Disabled metrics are one attribute check.** ``Counter.inc`` starts
   with ``if not self.enabled: return``; no dict lookups, no clock reads.

@@ -1,4 +1,4 @@
-"""Struct-of-arrays flow records and the fluid fast-forward switch.
+"""Struct-of-arrays flow records and the fluid fast-forward mode.
 
 The steady-state hot loop — FULL-mode session-table hits on established,
 FSM-quiet flows — does not need Python objects per packet: a classified
@@ -28,9 +28,7 @@ advanced analytically — one descriptor (template packet + count)
 crosses the whole pipeline, charged with closed-form packet/byte/cycle
 deltas — and re-materialize into per-packet processing at event
 boundaries (FSM changes, QoS limits, NAT, mirrors, telemetry spans,
-offload demotion). Both switches follow the repo's legacy-switch
-pattern: the determinism suite runs fig9/fig12 with them on and off and
-requires byte-identical tables.
+offload demotion).
 """
 
 from __future__ import annotations
@@ -58,11 +56,6 @@ class FluidMode:
 
 class FlowRecordStore:
     """Parallel-array flow records, one slot per stateful session entry."""
-
-    #: Class-level switch: ``False`` retires the slots — the datapath
-    #: falls back to per-packet updates of the boxed SessionState, the
-    #: pre-flow-records behavior.
-    enabled: bool = True
 
     __slots__ = ("packets_tx", "packets_rx", "bytes_tx", "bytes_rx",
                  "last_seen", "flags", "_free")

@@ -150,7 +150,7 @@ class SessionTable:
             state.created_at = now
             state.last_seen = now
         entry = SessionEntry(vni, five_tuple, pre_actions, state, mode, nbytes)
-        if FlowRecordStore.enabled and state is not None:
+        if state is not None:
             entry.slot = self.records.alloc()
         self._entries[key] = entry
         self.inserts += 1

@@ -42,7 +42,6 @@ from repro.vswitch.actions import (ActionKind, Direction, FinalAction,
                                    PreActions, Verdict, process_pkt,
                                    resolve_verdict)
 from repro.vswitch.costs import CostModel
-from repro.vswitch.flow_records import FlowRecordStore, FluidMode
 from repro.vswitch.rule_tables import (AclTable, FlowLogTable, LookupContext,
                                        MappingTable, MirrorTable,
                                        PolicyRouteTable, QosTable, RouteTable)
@@ -84,12 +83,6 @@ class VSwitchStats:
 
 class Datapath:
     """Per-vNIC packet-processing strategy (local / Nezha BE / Nezha FE)."""
-
-    #: Class-level switch for the vectorized burst path. ``False`` forces
-    #: per-packet processing everywhere (the pre-burst behavior); the
-    #: burst determinism suite runs fig9/fig12 both ways and requires
-    #: identical tables.
-    batching: bool = True
 
     def handle_tx(self, vnic: Vnic, packet: Packet) -> None:
         raise NotImplementedError
@@ -269,59 +262,18 @@ class VSwitch:
 
     # -- CPU-charged execution helper -------------------------------------------------------
 
-    def charge(self, cycles: float, fn: Callable[[], None]) -> bool:
-        """Run ``fn`` after ``cycles`` of CPU time; False = drop-tail.
-
-        Under :attr:`CpuResource.direct_dispatch` the completion callback
-        is scheduled straight on the engine — same completion instant and
-        micro-queue position as the event-driven path, minus one Event,
-        one Process, and one generator per packet."""
-        if CpuResource.direct_dispatch:
-            if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
-                                        fn):
-                return True
-            self.stats.cpu_drops += 1
-            self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-        job = self.cpu.try_submit(cycles, self.cost_model.max_cpu_backlog)
-        if job is None:
-            self.stats.cpu_drops += 1
-            self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-
-        def runner():
-            yield job
-            fn()
-
-        self.engine.process(runner(), name=f"{self.name}.job")
-        return True
-
-    def charge_batch(self, cycles: float, n_packets: int,
-                     fn: Callable[[], None]) -> bool:
+    def charge(self, cycles: float, fn: Callable[[], None],
+               n_packets: int = 1) -> bool:
         """Run ``fn`` after ``cycles`` of CPU time charged as *one* job
-        covering a burst of ``n_packets``; drop-tail rejects the whole
-        burst (``cpu_drops`` still counts every packet)."""
-        if CpuResource.direct_dispatch:
-            if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
-                                        fn):
-                return True
-            self.stats.cpu_drops += n_packets
-            for _ in range(n_packets):
-                self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-        job = self.cpu.try_submit(cycles, self.cost_model.max_cpu_backlog)
-        if job is None:
-            self.stats.cpu_drops += n_packets
-            for _ in range(n_packets):
-                self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-
-        def runner():
-            yield job
-            fn()
-
-        self.engine.process(runner(), name=f"{self.name}.job")
-        return True
+        covering ``n_packets``; False = drop-tail, which rejects them all
+        (``cpu_drops`` still counts every packet)."""
+        if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
+                                    fn):
+            return True
+        self.stats.cpu_drops += n_packets
+        for _ in range(n_packets):
+            self.trace.emit("pkt.cpu_drop", vswitch=self.name)
+        return False
 
     # -- packet entry points ---------------------------------------------------------------
 
@@ -705,19 +657,12 @@ class LocalDatapath(Datapath):
     # -- TX ------------------------------------------------------------------------
 
     def handle_tx(self, vnic: Vnic, packet: Packet) -> None:
-        if Datapath.batching:
-            self.handle_tx_burst(vnic, [packet])
-        else:
-            self._tx_single(vnic, packet)
+        self.handle_tx_burst(vnic, [packet])
 
     def handle_tx_burst(self, vnic: Vnic, packets: List[Packet]) -> None:
         """Vectorized TX: batchable runs pay one lookup and one CPU
         transaction; everything else falls back to the per-packet slow
         path at its position in the burst."""
-        if not Datapath.batching:
-            for packet in packets:
-                self._tx_single(vnic, packet)
-            return
         vs = self.vswitch
         encap = vs.cost_model.encap_cycles
         index = 0
@@ -728,17 +673,18 @@ class LocalDatapath(Datapath):
             if entry is None:
                 self._tx_single(vnic, packets[index - 1])
                 continue
-            vs.charge_batch(
-                cycles + len(run) * encap, len(run),
+            vs.charge(
+                cycles + len(run) * encap,
                 lambda e=entry, r=run, s=snap, b=nbytes:
-                    self._complete_tx_batch(vnic, e, r, s, b))
+                    self._complete_tx_batch(vnic, e, r, s, b),
+                len(run))
 
     def _tx_run_eligible(self, entry, fsm_snap) -> bool:
         """May a charged TX run complete through the flow-record fast
         path? Requires a live slot, an unmoved TCP FSM (every packet was
         verified quiet against ``fsm_snap`` at classify time), and no
         per-packet header work (NAT rewrite, mirroring)."""
-        if not FlowRecordStore.enabled or entry.slot < 0:
+        if entry.slot < 0:
             return False
         if fsm_snap is not None and entry.state.tcp_state is not fsm_snap:
             return False
@@ -839,10 +785,8 @@ class LocalDatapath(Datapath):
         burst path."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
-        if (not Datapath.batching
-                or entry is None or entry.pre_actions is None
+        if (entry is None or entry.pre_actions is None
                 or entry.state is None or entry.slot < 0
-                or not FlowRecordStore.enabled
                 or not self._fsm_quiet(entry, Direction.TX, packet)
                 or entry.pre_actions.tx.nat_src is not None
                 or entry.pre_actions.tx.mirror_to is not None):
@@ -854,10 +798,11 @@ class LocalDatapath(Datapath):
         cycles = count * (cm.fast_path_cycles + wire * cm.cycles_per_byte
                           + cm.encap_cycles)
         snap = entry.state.tcp_state
-        vs.charge_batch(
-            cycles, count,
+        vs.charge(
+            cycles,
             lambda: self._complete_tx_fluid(vnic, entry, packet, count,
-                                            snap, wire))
+                                            snap, wire),
+            count)
 
     def _complete_tx_fluid(self, vnic: Vnic, entry, packet: Packet,
                            count: int, fsm_snap, wire: int) -> None:
@@ -937,18 +882,11 @@ class LocalDatapath(Datapath):
 
     def handle_rx(self, vnic: Vnic, packet: Packet,
                   overlay_src: Optional[IPv4Address] = None) -> None:
-        if Datapath.batching:
-            self.handle_rx_burst(vnic, [packet], overlay_src)
-        else:
-            self._rx_single(vnic, packet, overlay_src)
+        self.handle_rx_burst(vnic, [packet], overlay_src)
 
     def handle_rx_burst(self, vnic: Vnic, packets: List[Packet],
                         overlay_src: Optional[IPv4Address] = None) -> None:
         """Vectorized RX: mirror of :meth:`handle_tx_burst`."""
-        if not Datapath.batching:
-            for packet in packets:
-                self._rx_single(vnic, packet, overlay_src)
-            return
         vs = self.vswitch
         index = 0
         n = len(packets)
@@ -960,10 +898,11 @@ class LocalDatapath(Datapath):
                 continue
             if vnic.stateful_decap and overlay_src is not None:
                 entry.state.decap_overlay_src = IPv4Address(overlay_src)
-            vs.charge_batch(
-                cycles, len(run),
+            vs.charge(
+                cycles,
                 lambda e=entry, r=run, s=snap, b=nbytes:
-                    self._complete_rx_batch(vnic, e, r, s, b))
+                    self._complete_rx_batch(vnic, e, r, s, b),
+                len(run))
 
     def _complete_rx_batch(self, vnic: Vnic, entry, packets,
                            fsm_snap=None, run_bytes: int = -1) -> None:
@@ -972,7 +911,7 @@ class LocalDatapath(Datapath):
             vs.stats.cpu_drops += len(packets)
             return
         if (run_bytes >= 0 and not _spans.ACTIVE
-                and FlowRecordStore.enabled and entry.slot >= 0
+                and entry.slot >= 0
                 and (fsm_snap is None
                      or entry.state.tcp_state is fsm_snap)):
             self._complete_rx_run(vnic, entry, packets, run_bytes)
@@ -1020,10 +959,8 @@ class LocalDatapath(Datapath):
         """Fluid RX: mirror of :meth:`handle_tx_run` (no QoS/NAT stage)."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
-        if (not Datapath.batching
-                or entry is None or entry.pre_actions is None
+        if (entry is None or entry.pre_actions is None
                 or entry.state is None or entry.slot < 0
-                or not FlowRecordStore.enabled
                 or not self._fsm_quiet(entry, Direction.RX, packet)):
             Datapath.handle_rx_run(self, vnic, packet, count, overlay_src)
             return
@@ -1034,10 +971,11 @@ class LocalDatapath(Datapath):
         wire = packet.wire_length
         cycles = count * (cm.fast_path_cycles + wire * cm.cycles_per_byte)
         snap = entry.state.tcp_state
-        vs.charge_batch(
-            cycles, count,
+        vs.charge(
+            cycles,
             lambda: self._complete_rx_fluid(vnic, entry, packet, count,
-                                            snap, wire))
+                                            snap, wire),
+            count)
 
     def _complete_rx_fluid(self, vnic: Vnic, entry, packet: Packet,
                            count: int, fsm_snap, wire: int) -> None:
@@ -1046,8 +984,7 @@ class LocalDatapath(Datapath):
             vs.stats.cpu_drops += count
             return
         state = entry.state
-        if (not FlowRecordStore.enabled or entry.slot < 0
-                or state.tcp_state is not fsm_snap):
+        if entry.slot < 0 or state.tcp_state is not fsm_snap:
             self._complete_rx_batch(vnic, entry,
                                     [packet.copy() for _ in range(count)])
             return

@@ -1,12 +1,15 @@
-"""Shared test fixtures: a minimal two-server overlay cloud."""
+"""Shared test fixtures: a minimal two-server overlay cloud, and a
+pure-heap reference scheduler for the engine."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.fabric import Topology
 from repro.net import IPv4Address, MacAddress
 from repro.sim import Engine
@@ -17,6 +20,27 @@ from repro.vswitch.vswitch import make_standard_chain
 VNI = 100
 TENANT_A = IPv4Address("192.168.0.1")
 TENANT_B = IPv4Address("192.168.0.2")
+
+
+class PureHeapEngine(Engine):
+    """Reference scheduler for the engine's same-time micro-queue and
+    batch entries: every callback, same-instant ones included, is its own
+    ``(time, seq)`` heap entry, so dispatch follows that total order and
+    nothing else."""
+
+    def call_at(self, when, fn, *args):
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule at {when} before now={self._now}")
+        heapq.heappush(self._heap, (when, self._seq, fn, args))
+        self._seq += 1
+
+    def call_soon(self, fn, *args):
+        self.call_at(self._now, fn, *args)
+
+    def call_at_batch(self, items):
+        for when, fn, args in items:
+            self.call_at(when, fn, *args)
 
 
 @dataclass

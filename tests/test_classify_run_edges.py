@@ -1,51 +1,23 @@
-"""Edge cases of burst run classification against per-packet replay.
+"""Edge cases of burst run classification against pinned replays.
 
-Each scenario drives the same burst through (a) the array-backed
-flow-record datapath and (b) the legacy per-packet path with every
-switch of this PR (and batching itself) off, then requires identical
-vSwitch counters on both ends *and* identical flow statistics after the
-records are materialized back into the boxed SessionState.
+Each scenario drives a burst through the array-backed flow-record
+datapath and requires the vSwitch counters on both ends *and* the flow
+statistics (after the records are materialized back into the boxed
+SessionState) to equal the values a burst replay and a per-packet
+replay without flow records produced. Those replays were pinned from the
+pre-flow-records datapath, which the codebase no longer carries.
 """
 
 from dataclasses import asdict
 
 import pytest
 
-from repro.net import IPv4Address, Packet, TcpFlags
-from repro.sim.resources import CpuResource
+from repro.net import Packet, TcpFlags
 from repro.vswitch import TcpState
-from repro.vswitch.flow_records import FlowRecordStore, FluidMode
 from repro.vswitch.session_table import EntryMode
 from repro.vswitch.state import StatsPolicy
-from repro.vswitch.vswitch import Datapath
 
 from tests.conftest import TENANT_A, TENANT_B, VNI, build_cloud
-
-_SWITCHES = (
-    (Datapath, "batching"),
-    (FlowRecordStore, "enabled"),
-    (CpuResource, "direct_dispatch"),
-)
-
-
-@pytest.fixture
-def run_mode():
-    """Callable selecting the datapath configuration: ``records`` (this
-    PR's switches on), ``burst`` (batching on, this PR's switches off) or
-    ``per_packet`` (everything off, queued CPU jobs)."""
-    saved = [(cls, name, getattr(cls, name)) for cls, name in _SWITCHES]
-    saved.append((FluidMode, "enabled", FluidMode.enabled))
-
-    def enable(mode: str) -> None:
-        on = mode == "records"
-        for cls, name in _SWITCHES:
-            setattr(cls, name, on)
-        Datapath.batching = mode != "per_packet"
-        FluidMode.enabled = False
-
-    yield enable
-    for cls, name, value in saved:
-        setattr(cls, name, value)
 
 
 def ack(flags=("ack",), payload=b"d" * 100):
@@ -177,25 +149,64 @@ _SCENARIOS = [
 _IDS = ["fsm_split", "state_only_mid_run", "demotion_between_runs"]
 
 
-@pytest.mark.parametrize("scenario", _SCENARIOS, ids=_IDS)
-def test_edge_case_identical_to_burst_replay(run_mode, scenario):
-    """Same burst machinery, flow records on vs off: everything matches,
-    completion timestamps included."""
-    run_mode("records")
-    records = scenario(timestamps=True)
-    run_mode("burst")
-    replay = scenario(timestamps=True)
-    assert records == replay
+#: Counters and flow statistics of each scenario, identical on the burst
+#: and the per-packet replay: (vSwitch A nonzero stats, vSwitch B nonzero
+#: stats, flow counters...), each flow as (packets tx/rx, bytes tx/rx,
+#: TCP state).
+_REPLAYED = {
+    "fsm_split": (
+        {"tx_packets": 7, "rx_packets": 1, "forwarded": 7, "delivered": 1,
+         "slow_path_lookups": 1, "fast_path_hits": 7},
+        {"tx_packets": 1, "rx_packets": 7, "forwarded": 1, "delivered": 7,
+         "slow_path_lookups": 1, "fast_path_hits": 7},
+        (5, 0, 700, 0, TcpState.FIN_WAIT),
+        (0, 0, 0, 0, TcpState.FIN_WAIT)),
+    "state_only_mid_run": (
+        {"tx_packets": 8, "rx_packets": 1, "forwarded": 8, "delivered": 1,
+         "slow_path_lookups": 4, "fast_path_hits": 5},
+        {"tx_packets": 1, "rx_packets": 8, "forwarded": 1, "delivered": 8,
+         "slow_path_lookups": 2, "fast_path_hits": 7},
+        (4, 0, 560, 0, TcpState.ESTABLISHED),
+        (0, 0, 0, 0, TcpState.NONE)),
+    "demotion_between_runs": (
+        {"tx_packets": 7, "rx_packets": 1, "forwarded": 4, "delivered": 1,
+         "cpu_drops": 3, "slow_path_lookups": 2, "fast_path_hits": 6},
+        {"tx_packets": 1, "rx_packets": 4, "forwarded": 1, "delivered": 4,
+         "slow_path_lookups": 1, "fast_path_hits": 4},
+        (2, 0, 280, 0, TcpState.ESTABLISHED)),
+}
+
+#: Each flow's ``last_seen`` on the burst replay, which charges a run as
+#: one CPU transaction exactly like the flow-record datapath does.
+_BURST_LAST_SEEN = {
+    "fsm_split": (0.30003230000000003, 0.30005453160000006),
+    "state_only_mid_run": (0.40173613333333336, 0.40173477333333335),
+    "demotion_between_runs": (0.30003230000000003,),
+}
+
+
+def _nonzero(result):
+    """The scenario result with zero-valued vSwitch counters dropped."""
+    return tuple({k: v for k, v in item.items() if v}
+                 if isinstance(item, dict) else item for item in result)
 
 
 @pytest.mark.parametrize("scenario", _SCENARIOS, ids=_IDS)
-def test_edge_case_identical_to_per_packet_replay(run_mode, scenario):
-    """Against the fully per-packet path: counters, drops and FSM match
+def test_edge_case_identical_to_burst_replay(scenario):
+    """Against the burst replay: everything matches, completion
+    timestamps included."""
+    name = _IDS[_SCENARIOS.index(scenario)]
+    stats_a, stats_b, *flows = _REPLAYED[name]
+    expected = (stats_a, stats_b) + tuple(
+        flow + (seen,) for flow, seen in zip(flows, _BURST_LAST_SEEN[name]))
+    assert _nonzero(scenario(timestamps=True)) == expected
+
+
+@pytest.mark.parametrize("scenario", _SCENARIOS, ids=_IDS)
+def test_edge_case_identical_to_per_packet_replay(scenario):
+    """Against the per-packet replay: counters, drops and FSM match
     exactly; completion timestamps follow the CPU charging shape (one
     serialized transaction per run vs per-packet jobs across cores) and
-    are excluded — that difference predates the flow records."""
-    run_mode("records")
-    records = scenario(timestamps=False)
-    run_mode("per_packet")
-    replay = scenario(timestamps=False)
-    assert records == replay
+    are excluded."""
+    name = _IDS[_SCENARIOS.index(scenario)]
+    assert _nonzero(scenario(timestamps=False)) == _REPLAYED[name]

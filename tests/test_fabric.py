@@ -84,36 +84,30 @@ def test_send_on_disconnected_port_returns_false():
 # -- Link bursts ---------------------------------------------------------------
 
 
-def _burst_arrivals(burst_on, n=4):
-    """Arrival times of an n-packet train, with Link.burst on or off."""
-    saved = Link.burst
-    Link.burst = burst_on
-    try:
-        engine = Engine()
-        a = mk_server(engine, "a", "10.0.0.1")
-        b = mk_server(engine, "b", "10.0.0.2", mac=2)
-        connect(engine, a, b, latency=10e-6, gbps=1.0)
-        arrivals = []
-        b.attach_sink(lambda pkt: arrivals.append((engine.now, pkt)))
-        a.send_to_fabric_burst([mk_packet(sport=1000 + i) for i in range(n)])
-        engine.run()
-        return arrivals
-    finally:
-        Link.burst = saved
-
-
 def test_burst_arrival_times_match_per_packet_transmits():
     """The exact-timing guarantee: one coalesced heap entry delivers each
     packet at precisely the serialization+latency instant N separate
-    transmits would."""
-    coalesced = _burst_arrivals(burst_on=True)
-    per_packet = _burst_arrivals(burst_on=False)
-    assert [t for t, _ in coalesced] == [t for t, _ in per_packet]
-    assert ([p.five_tuple() for _, p in coalesced]
-            == [p.five_tuple() for _, p in per_packet])
+    transmits would — on an idle link, the running sum of the
+    serialization times so far plus the propagation latency."""
+    engine = Engine()
+    a = mk_server(engine, "a", "10.0.0.1")
+    b = mk_server(engine, "b", "10.0.0.2", mac=2)
+    connect(engine, a, b, latency=10e-6, gbps=1.0)
+    arrivals = []
+    b.attach_sink(lambda pkt: arrivals.append((engine.now, pkt)))
+    train = [mk_packet(sport=1000 + i) for i in range(4)]
+    a.send_to_fabric_burst(train)
+    engine.run()
+    expected = []
+    busy_until = 0.0
+    for pkt in train:
+        busy_until += pkt.wire_length * 8 / 1e9
+        expected.append(busy_until + 10e-6)
+    assert [t for t, _ in arrivals] == expected
+    assert ([p.five_tuple() for _, p in arrivals]
+            == [p.five_tuple() for p in train])
     # Strictly increasing: serialization separates back-to-back packets.
-    times = [t for t, _ in coalesced]
-    assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
+    assert all(t1 < t2 for t1, t2 in zip(expected, expected[1:]))
 
 
 def test_burst_on_downed_link_drops_whole_burst():

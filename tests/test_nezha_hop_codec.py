@@ -214,24 +214,6 @@ def test_vxlan_wrap_carries_flow_key_and_length():
         assert wrapped._wire == len(wrapped.encode())
 
 
-def test_nothing_carried_without_memoization(monkeypatch):
-    monkeypatch.setattr(Packet, "memoize", False)
-    inner = _inner()
-    inner.five_tuple()
-    hop = build_nezha_hop(SRC_IP, SRC_MAC, LOC, _tx_meta(), inner=inner)
-    assert hop._ft is None and hop._wire is None
-    wrapped = make_underlay_transport(SRC_MAC, MacAddress(2), SRC_IP,
-                                      IPv4Address("10.1.0.9"), inner,
-                                      vni=7, src_port=50000)
-    assert wrapped._ft is None and wrapped._wire is None
-    hop.five_tuple()
-    hop.wire_length
-    unwrap_nezha_hop(hop)
-    assert hop._ft is None and hop._wire is None
-    assert hop.five_tuple() == inner.five_tuple()
-    assert hop.wire_length == inner.wire_length
-
-
 def test_notify_unwrap_drops_outer_flow_key():
     meta = NezhaMeta(kind=KIND_NOTIFY, vnic_id=4,
                      notify_five_tuple=FiveTuple(SRC_IP, SRC_IP, 6, 1, 2),
@@ -318,8 +300,8 @@ def test_crr_connection_bench_crosses_the_hop(monkeypatch):
     ride the BE↔FE hop: SYN, request and FIN arrive at the FE and are
     relayed RX-ward; SYN-ACK, response and FIN-ACK leave the BE TX-ward."""
     from repro.bench.micro import _setup_crr_connection
-    op, legacy, ops_per_call = _setup_crr_connection()
-    assert legacy is None and ops_per_call == 1
+    op, ops_per_call = _setup_crr_connection()
+    assert ops_per_call == 1
     kinds = []
     real_wrap = HopEncap.wrap
 

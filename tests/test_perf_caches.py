@@ -3,7 +3,8 @@ overhaul: chain-level cost/memory caches, the ACL match buckets, the
 packet flow-key memo, and the engine micro-queue's FIFO tie-break.
 
 Every cache must be invisible: mutating the underlying data must be
-reflected by the very next read.
+reflected by the very next read, and every cached path must agree with
+a test-local reference that computes the same thing from scratch.
 """
 
 import random
@@ -16,6 +17,7 @@ from repro.net.five_tuple import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FiveTuple
 from repro.net.ipv4 import IPv4Header
 from repro.net.packet import Packet, make_underlay_transport
 from repro.sim import Engine
+from tests.conftest import PureHeapEngine
 from repro.vswitch.actions import Direction, Verdict
 from repro.vswitch.costs import CostModel
 from repro.vswitch.rule_tables import (AclRule, AclTable, MappingEntry,
@@ -48,17 +50,21 @@ def test_lookup_cost_reflects_acl_mutation():
     assert chain.acl_rule_count() == 2
 
 
+def _uncached_lookup_cost(chain, nbytes):
+    """Reference: the chain's lookup cost summed from scratch."""
+    return chain.cost_model.lookup_cycles(
+        n_tables=len(chain.tables),
+        n_acl_rules=sum(t.rule_count() for t in chain.tables
+                        if isinstance(t, AclTable)),
+        packet_bytes=nbytes)
+
+
 def test_lookup_cost_matches_uncached_path_exactly():
     chain, acl, _cm = make_chain()
     acl.add_rule(AclRule(priority=1, verdict=Verdict.DROP, proto=PROTO_TCP))
     for nbytes in (64, 512, 1500):
-        cached = chain.lookup_cost(nbytes)
-        try:
-            type(chain).caching = False
-            uncached = chain.lookup_cost(nbytes)
-        finally:
-            type(chain).caching = True
-        assert cached == uncached
+        assert chain.lookup_cost(nbytes) == _uncached_lookup_cost(chain,
+                                                                  nbytes)
 
 
 def test_memory_bytes_reflects_table_mutation():
@@ -129,6 +135,16 @@ def _random_tuple(rng):
                      rng.randrange(0, 65536), rng.randrange(0, 65536))
 
 
+def _verdict_scan(acl, ft, direction):
+    """Reference: first match in a full priority-ordered rule scan."""
+    for rule in acl.rules:
+        if rule.direction is not None and rule.direction != direction:
+            continue
+        if rule.matches(ft):
+            return rule.verdict
+    return acl.default_verdict
+
+
 def test_bucketed_verdicts_match_full_scan():
     rng = random.Random(1234)
     acl = AclTable([_random_rule(rng) for _ in range(80)])
@@ -136,14 +152,14 @@ def test_bucketed_verdicts_match_full_scan():
     for ft in probes:
         for direction in (Direction.TX, Direction.RX):
             assert (acl._verdict(ft, direction)
-                    == acl._verdict_scan(ft, direction))
+                    == _verdict_scan(acl, ft, direction))
     # Buckets must also stay correct across incremental mutation.
     for _ in range(20):
         acl.add_rule(_random_rule(rng))
         ft = _random_tuple(rng)
         for direction in (Direction.TX, Direction.RX):
             assert (acl._verdict(ft, direction)
-                    == acl._verdict_scan(ft, direction))
+                    == _verdict_scan(acl, ft, direction))
 
 
 def test_add_rule_keeps_stable_priority_order():
@@ -249,54 +265,50 @@ def test_call_after_zero_and_call_soon_interleave_fifo():
     assert order == ["a", "b", "c"]
 
 
-def _run_scrambled_schedule(micro_queue):
-    previous = Engine.micro_queue
-    Engine.micro_queue = micro_queue
-    try:
-        engine = Engine()
-        trace = []
-        rng = random.Random(4242)
+def _run_scrambled_schedule(engine_cls):
+    engine = engine_cls()
+    trace = []
+    rng = random.Random(4242)
 
-        def worker(tag, depth):
-            if depth > 3:
-                return
-            trace.append((tag, engine.now))
-            choice = rng.random()
-            if choice < 0.35:
-                engine.call_soon(worker, f"{tag}.s", depth + 1)
-            elif choice < 0.6:
-                engine.call_after(0.0, worker, f"{tag}.z", depth + 1)
-            elif choice < 0.85:
-                engine.call_after(0.25, worker, f"{tag}.d", depth + 1)
+    def worker(tag, depth):
+        if depth > 3:
+            return
+        trace.append((tag, engine.now))
+        choice = rng.random()
+        if choice < 0.35:
+            engine.call_soon(worker, f"{tag}.s", depth + 1)
+        elif choice < 0.6:
+            engine.call_after(0.0, worker, f"{tag}.z", depth + 1)
+        elif choice < 0.85:
+            engine.call_after(0.25, worker, f"{tag}.d", depth + 1)
 
-        def proc(tag):
-            trace.append((f"{tag}:start", engine.now))
-            yield None                        # cooperative yield
-            trace.append((f"{tag}:mid", engine.now))
-            yield engine.timeout(0.5)
-            trace.append((f"{tag}:end", engine.now))
+    def proc(tag):
+        trace.append((f"{tag}:start", engine.now))
+        yield None                        # cooperative yield
+        trace.append((f"{tag}:mid", engine.now))
+        yield engine.timeout(0.5)
+        trace.append((f"{tag}:end", engine.now))
 
-        for i in range(6):
-            engine.call_at(float(i % 3) * 0.5, worker, f"w{i}", 0)
-        for i in range(4):
-            engine.process(proc(f"p{i}"))
-        event = engine.event("tie")
+    for i in range(6):
+        engine.call_at(float(i % 3) * 0.5, worker, f"w{i}", 0)
+    for i in range(4):
+        engine.process(proc(f"p{i}"))
+    event = engine.event("tie")
 
-        def waiter(idx):
-            yield event
-            trace.append((f"waiter{idx}", engine.now))
+    def waiter(idx):
+        yield event
+        trace.append((f"waiter{idx}", engine.now))
 
-        for i in range(3):
-            engine.process(waiter(i))
-        engine.call_at(0.5, event.succeed, None)
-        engine.run(until=10.0)
-        return trace
-    finally:
-        Engine.micro_queue = previous
+    for i in range(3):
+        engine.process(waiter(i))
+    engine.call_at(0.5, event.succeed, None)
+    engine.run(until=10.0)
+    return trace
 
 
 def test_micro_queue_trace_identical_to_pure_heap():
-    assert _run_scrambled_schedule(True) == _run_scrambled_schedule(False)
+    assert (_run_scrambled_schedule(Engine)
+            == _run_scrambled_schedule(PureHeapEngine))
 
 
 def test_pending_counts_micro_queue():

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Engine, Interrupt, Timeout
 
+from tests.conftest import PureHeapEngine
+
 
 def test_time_starts_at_zero():
     assert Engine().now == 0.0
@@ -390,14 +392,25 @@ def test_batch_empty_is_noop():
     assert engine.pending == 0
 
 
-def test_batch_with_micro_queue_off_falls_back_to_per_item():
-    saved = Engine.micro_queue
-    Engine.micro_queue = False
-    try:
-        engine = Engine()
+def test_batch_order_matches_pure_heap_reference():
+    """A batch competing with same-instant and interleaved callbacks runs
+    in the order a pure ``(time, seq)`` heap gives N per-item pushes."""
+    def trace(engine_cls):
+        engine = engine_cls()
         order = []
-        engine.call_at_batch([(t, order.append, (t,)) for t in (1.0, 2.0)])
+
+        def kick():
+            order.append("kick@1")
+            engine.call_soon(order.append, "soon@1")
+
+        engine.call_at(1.0, kick)
+        engine.call_at_batch([(t, order.append, (f"batch@{t}",))
+                              for t in (1.0, 1.0, 2.0)])
+        engine.call_at(2.0, order.append, "after@2")
+        engine.call_at(1.5, order.append, "mid@1.5")
         engine.run()
-        assert order == [1.0, 2.0]
-    finally:
-        Engine.micro_queue = saved
+        return order
+
+    assert trace(Engine) == trace(PureHeapEngine) == [
+        "kick@1", "batch@1.0", "batch@1.0", "soon@1", "mid@1.5",
+        "batch@2.0", "after@2"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ResourceExhausted, SimulationError
-from repro.sim import CpuResource, Engine, FifoQueue, MemoryBudget, Timeout
+from repro.sim import CpuResource, Engine, FifoQueue, MemoryBudget
 
 
 # -- CpuResource --------------------------------------------------------------
@@ -18,16 +18,9 @@ def test_cpu_single_core_serializes_jobs():
     engine = Engine()
     cpu = CpuResource(engine, cores=1, hz=100.0)
     completions = []
-
-    def submit_two():
-        first = cpu.submit(100)   # 1s of work
-        second = cpu.submit(100)  # queued behind the first
-        yield first
-        completions.append(engine.now)
-        yield second
-        completions.append(engine.now)
-
-    engine.process(submit_two())
+    for _ in range(2):          # 1s of work each; the second queues
+        assert cpu.try_submit_call(100, 10.0,
+                                   lambda: completions.append(engine.now))
     engine.run()
     assert completions == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -35,31 +28,27 @@ def test_cpu_single_core_serializes_jobs():
 def test_cpu_multi_core_parallelism():
     engine = Engine()
     cpu = CpuResource(engine, cores=2, hz=100.0)
-    completions = []
-
-    def submit_two():
-        a = cpu.submit(100)
-        b = cpu.submit(100)
-        yield a
-        completions.append(engine.now)
-        yield b
-        completions.append(engine.now)
-
-    engine.process(submit_two())
-    engine.run()
     # Two cores: both jobs finish at t=1.0.
-    assert completions == [pytest.approx(1.0), pytest.approx(1.0)]
+    assert cpu.try_book(100, 10.0) == pytest.approx(1.0)
+    assert cpu.try_book(100, 10.0) == pytest.approx(1.0)
+
+
+def test_cpu_try_submit_call_runs_callback_at_completion():
+    engine = Engine()
+    cpu = CpuResource(engine, cores=1, hz=100.0)
+    got = []
+    assert cpu.try_submit_call(50, 1.0, lambda *a: got.append(
+        (engine.now, a)), "x", 2)
+    engine.run()
+    assert got == [(pytest.approx(0.5), ("x", 2))]
+    assert cpu.jobs_done == 1 and cpu.total_cycles == 50
 
 
 def test_cpu_utilization_tracks_busy_fraction():
     engine = Engine()
     cpu = CpuResource(engine, cores=1, hz=100.0, util_window=1.0)
-
-    def load():
-        yield cpu.submit(50)  # 0.5s of work on a 1s window
-        yield Timeout(0.5)
-
-    engine.process(load())
+    cpu.try_book(50, 1.0)       # 0.5s of work on a 1s window
+    engine.call_at(1.0, lambda: None)
     engine.run()
     assert engine.now == pytest.approx(1.0)
     assert cpu.utilization() == pytest.approx(0.5, abs=0.01)
@@ -76,17 +65,19 @@ def test_cpu_utilization_idle_is_zero():
 def test_cpu_try_submit_rejects_over_backlog():
     engine = Engine()
     cpu = CpuResource(engine, cores=1, hz=100.0)
-    cpu.submit(1000)  # 10s backlog
-    assert cpu.try_submit(10, max_backlog=1.0) is None
-    assert cpu.jobs_rejected == 1
+    cpu.try_book(1000, max_backlog=1.0)  # 10s backlog
+    assert cpu.try_book(10, max_backlog=1.0) is None
+    assert not cpu.try_submit_call(10, 1.0, lambda: None)
+    assert cpu.jobs_rejected == 2
     # With generous limit it is accepted.
-    assert cpu.try_submit(10, max_backlog=100.0) is not None
+    assert cpu.try_book(10, max_backlog=100.0) == pytest.approx(10.1)
+    assert cpu.try_submit_call(10, 100.0, lambda: None)
 
 
 def test_cpu_backlog_reports_queued_seconds():
     engine = Engine()
     cpu = CpuResource(engine, cores=1, hz=100.0)
-    cpu.submit(200)  # 2s
+    cpu.try_book(200, max_backlog=1.0)  # 2s
     assert cpu.backlog() == pytest.approx(2.0)
 
 

@@ -11,11 +11,14 @@ JSON)::
     PYTHONPATH=src python tools/bench.py --smoke
 
 The smoke gate is machine-robust: raw ops/sec moves with the host, so it
-never compares ops/sec across runs directly. For benches with a legacy
-twin it compares *speedups* (optimized vs legacy on the same machine in
-the same run); for the rest it compares throughput normalized by a fixed
-pure-python calibration loop. Either dropping more than ``--tolerance``
-(default 30%) below the committed baseline fails the run.
+never compares ops/sec across runs directly. Every bench is gated on its
+throughput normalized by a fixed pure-python calibration loop, sampled
+right before and right after that bench. A normalized throughput more
+than the bench's ``gate_tolerance`` (default ``--tolerance``, 30%) below
+the committed baseline, or a baseline bench missing from the run, fails
+the run. The ``speedup_history`` block of the committed JSON records the
+speedups the optimizations measured against their pre-optimization code
+when they landed; it is history and never gated.
 
 Macro — per-experiment sequential-vs-parallel wall clocks (regenerates
 BENCH_experiments.json)::
@@ -73,8 +76,8 @@ MACRO_SCHEMA = "bench_experiments/v1"
 FLEET_SCHEMA = "bench_fleet/v1"
 
 # Per-bench smoke-gate overrides, recorded into the committed JSON so the
-# gate travels with the baseline. The flow-record benches headline this
-# PR's claims, so they get a tighter leash than the default 30%.
+# gate travels with the baseline. The flow-record benches and the
+# offloaded CRR connection get a tighter leash than the default 30%.
 GATE_TOLERANCES = {
     "flow_record_hit": 0.20,
     "fluid_fastforward": 0.20,
@@ -99,16 +102,14 @@ def _fmt(value) -> str:
 
 
 def print_table(results: dict) -> None:
-    print(f"{'bench':<24} {'ops/sec':>14} {'legacy ops/sec':>14} "
-          f"{'speedup':>8} {'normalized':>10}")
+    print(f"{'bench':<24} {'ops/sec':>14} {'calibration':>14} "
+          f"{'normalized':>12}")
     for name, entry in results.items():
         if name.startswith("_"):
             continue
-        speedup = entry["speedup"]
         print(f"{name:<24} {_fmt(entry['ops_per_sec']):>14} "
-              f"{_fmt(entry['baseline_ops_per_sec']):>14} "
-              f"{speedup and format(speedup, '.2f') or '-':>8} "
-              f"{entry['normalized']:>10.5f}")
+              f"{_fmt(entry['calibration_ops_per_sec']):>14} "
+              f"{entry['normalized']:>12.6f}")
     print(f"calibration: {_fmt(results['_calibration_ops_per_sec'])} ops/sec")
 
 
@@ -124,20 +125,11 @@ def check_regressions(current: dict, baseline_doc: dict,
             continue
         # A baseline entry may carry its own, usually tighter, gate.
         bench_tol = base.get("gate_tolerance", tolerance)
-        floor = 1.0 - bench_tol
-        if base.get("speedup") is not None:
-            if entry["speedup"] is None:
-                failures.append(f"{name}: lost its legacy twin")
-            elif entry["speedup"] < base["speedup"] * floor:
-                failures.append(
-                    f"{name}: speedup {entry['speedup']:.2f}x fell >"
-                    f"{bench_tol:.0%} below baseline {base['speedup']:.2f}x")
-        else:
-            if entry["normalized"] < base["normalized"] * floor:
-                failures.append(
-                    f"{name}: normalized throughput {entry['normalized']:.5f}"
-                    f" fell >{bench_tol:.0%} below baseline "
-                    f"{base['normalized']:.5f}")
+        if entry["normalized"] < base["normalized"] * (1.0 - bench_tol):
+            failures.append(
+                f"{name}: normalized throughput {entry['normalized']:.6f}"
+                f" fell >{bench_tol:.0%} below baseline "
+                f"{base['normalized']:.6f}")
     return failures
 
 
@@ -507,10 +499,12 @@ def main(argv=None) -> int:
     }
     if args.output.exists():
         # A full micro regen must not drop the separately-tracked
-        # telemetry overhead block (regenerated via --telemetry).
+        # telemetry overhead block (regenerated via --telemetry) or the
+        # speedup history.
         previous = json.loads(args.output.read_text())
-        if "telemetry_overhead" in previous:
-            doc["telemetry_overhead"] = previous["telemetry_overhead"]
+        for key in ("telemetry_overhead", "speedup_history"):
+            if key in previous:
+                doc[key] = previous[key]
     args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {args.output}")
     return 0
